@@ -117,6 +117,9 @@ def _validate(pairs: dict) -> None:
     for key in ("plant_type", "input_type", "design_type", "sigma2"):
         _require(pairs, key, "always required")
 
+    if not pairs["sigma2"] >= 0.0:
+        raise ConfigError(f"sigma2 must be >= 0, got {pairs['sigma2']}")
+
     plant = pairs["plant_type"]
     if plant not in PLANT_TYPES:
         raise ConfigError(f"plant_type must be one of {PLANT_TYPES}, got {plant!r}")

@@ -163,6 +163,16 @@ def ls_estimate(R, y) -> LsEstimate:
     return LsEstimate(h_hat=h_hat, residual_norm=float(np.linalg.norm(yv - Rm @ h_hat)))
 
 
+def ls_gram_inverse(R) -> np.ndarray:
+    """Condition-checked inverse of the normal-equation matrix ``R'R``.
+
+    Its trace is the LS noise gain ``tr(inv(R'R))`` and ``R @ inverse`` is the
+    estimator map (``h_hat = (R @ inverse)' y``).  Rejects instances whose
+    condition estimate exceeds ``CONDITION_LIMIT``, like :func:`ls_estimate`.
+    """
+    return _spd_inverse(_checked_gram(_regressor(R)))
+
+
 def ls_covariance(R, noise_matrix=None, sigma2: float = 0.0) -> ErrorReport:
     """Exact covariance of the least-squares estimate under MA masking noise.
 
@@ -170,8 +180,7 @@ def ls_covariance(R, noise_matrix=None, sigma2: float = 0.0) -> ErrorReport:
     banded filter matrix L it is ``inv(R'R) R' (L L' + sigma2 I) R inv(R'R)``.
     """
     Rm = _regressor(R)
-    gram = _checked_gram(Rm)
-    ginv = _spd_inverse(gram)
+    ginv = ls_gram_inverse(Rm)
     cov = sigma2 * ginv
     band = _noise_band(noise_matrix)
     if band is not None:
@@ -202,8 +211,7 @@ def ls_trace_quadratic(R, sigma2: float, n_l: int) -> TraceQuadratic:
     if n_l < 1:
         raise ParameterError(f"n_l must be >= 1, got {n_l}")
     Rm = _regressor(R)
-    gram = _checked_gram(Rm)
-    ginv = _spd_inverse(gram)
+    ginv = ls_gram_inverse(Rm)
     A = Rm @ ginv
     mat = toeplitz(_diagonal_sums(A, n_l))
     return TraceQuadratic(matrix=mat, offset=float(sigma2 * np.trace(ginv)), adversary="LS")

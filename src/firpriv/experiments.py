@@ -36,6 +36,7 @@ from .errors import ConfigError, ParameterError, RedrawBudgetError
 from .estimators import (
     CONDITION_LIMIT,
     Kernel,
+    ls_gram_inverse,
     ls_trace_quadratic,
     rls_gain,
     rls_trace_quadratic,
@@ -52,6 +53,7 @@ from .lti import (
 from .privacy import (
     CoefficientBox,
     DpMechanism,
+    _draw_mechanism,
     gaussian_mechanism,
     l1_sensitivity,
     l2_sensitivity,
@@ -170,16 +172,6 @@ def _design_spec(config: ExperimentConfig) -> DesignSpec:
     )
 
 
-def _draw_mechanism_noise(gen: np.random.Generator, mech: DpMechanism, shape) -> np.ndarray:
-    if mech.kind == "gaussian":
-        return mech.scale * gen.standard_normal(shape)
-    if mech.scale == 0.0:
-        return np.zeros(shape)
-    u = np.clip(gen.random(shape), 1e-300, 1.0 - 1e-16)
-    centered = u - 0.5
-    return -mech.scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
-
-
 def _chunks(total: int):
     return [(idx, min(CHUNK, total - idx * CHUNK)) for idx in range((total + CHUNK - 1) // CHUNK)]
 
@@ -204,24 +196,34 @@ def _fixed_input_attack(
     replicates: int,
     threads: Optional[int],
 ):
-    """Empirical error trace over repeated attacks on a fixed input record."""
-    reg = build_regressor(r, h.size)
-    mean_y = reg.matrix @ h
+    """Empirical error trace over repeated attacks on a fixed input record.
+
+    Every replicate draws fresh MA driving noise ``v``, mechanism noise and
+    measurement noise ``e`` and applies the estimator map E to its output
+    record.  The map is linear, so each noise channel is folded through E
+    once per attack: the error is ``(R h E - h) + v (L'E) + mech E + sigma e E``
+    with ``L'E`` from :meth:`BandedFilterMatrix.adjoint` in O(N*m*n_h).  The
+    draws are those of the output-domain form; the dense band is never built.
+    """
+    mean_y = build_regressor(r, h.size).matrix @ h
     n = mean_y.size
-    band = build_filter_matrix(ma_coeffs, n).matrix.T if ma_coeffs is not None else None
+    bias = mean_y @ estimator_map - h
+    band_map = (
+        build_filter_matrix(ma_coeffs, n).adjoint(estimator_map)
+        if ma_coeffs is not None
+        else None
+    )
     sigma = np.sqrt(sigma2)
 
     def worker(chunk_idx: int, count: int):
         gen = stream(seed, "attack", chunk_idx)
-        y = np.tile(mean_y, (count, 1))
-        if band is not None:
-            v = gen.standard_normal((count, band.shape[0]))
-            y += v @ band
+        err = np.tile(bias, (count, 1))
+        if band_map is not None:
+            err += gen.standard_normal((count, band_map.shape[0])) @ band_map
         if mech is not None:
-            y += _draw_mechanism_noise(gen, mech, (count, n))
+            err += _draw_mechanism(gen, mech, (count, n)) @ estimator_map
         if sigma > 0:
-            y += sigma * gen.standard_normal((count, n))
-        err = y @ estimator_map - h
+            err += sigma * (gen.standard_normal((count, n)) @ estimator_map)
         sq = np.einsum("bj,bj->b", err, err)
         return float(sq.sum()), float((sq * sq).sum()), count
 
@@ -322,11 +324,10 @@ def _design_fixed(config: ExperimentConfig, h: FirModel, r: np.ndarray):
         noise_gain = float(np.sum(C * C))
         estimator_map = C.T
     else:
-        quad_aux = ls_trace_quadratic(reg, config.sigma2, 1)
+        gram_inv = ls_gram_inverse(reg)
         bias = 0.0
-        noise_gain = quad_aux.offset / config.sigma2  # tr(inv(R'R))
-        gram_inv_rt = np.linalg.solve(reg.matrix.T @ reg.matrix, reg.matrix.T)
-        estimator_map = gram_inv_rt.T
+        noise_gain = float(np.trace(gram_inv))
+        estimator_map = reg.matrix @ gram_inv
 
     design = None
     mech = None

@@ -11,6 +11,7 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,22 +153,43 @@ class BandedFilterMatrix:
     For filter length m, row i holds the reversed coefficients
     ``(l_{m-1}, ..., l_0)`` starting at column i, so ``matrix @ v`` is the
     steady-state MA convolution of ``v`` with the coefficients.
+
+    Only the coefficients and the row count are stored.  The dense
+    N x (N+m-1) ``matrix`` is built, read-only, on first access;
+    :meth:`adjoint` applies ``L'`` in O(N*m) per column without it.
     """
 
-    matrix: np.ndarray
     coeffs: np.ndarray = field(repr=False)
+    n_samples: int
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(self.matrix))
         object.__setattr__(self, "coeffs", _readonly(self.coeffs))
-
-    @property
-    def n_samples(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def filter_length(self) -> int:
         return self.coeffs.size
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        m = self.coeffs.size
+        mat = np.zeros((self.n_samples, self.n_samples + m - 1))
+        rev = self.coeffs[::-1]
+        for i in range(self.n_samples):
+            mat[i, i : i + m] = rev
+        mat.setflags(write=False)
+        return mat
+
+    def adjoint(self, x) -> np.ndarray:
+        """``matrix.T @ x`` for an (N, k) block, by m shifted adds."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[0] != self.n_samples:
+            raise DimensionError(
+                f"adjoint needs an ({self.n_samples}, k) block, got shape {x.shape}"
+            )
+        out = np.zeros((self.n_samples + self.coeffs.size - 1, x.shape[1]))
+        for k, c in enumerate(self.coeffs[::-1]):
+            out[k : k + self.n_samples] += c * x
+        return out
 
 
 def impulse_response(g: RationalFilter, n: int) -> np.ndarray:
@@ -232,16 +254,14 @@ def build_regressor(r, n_h: int) -> RegressorMatrix:
 
 
 def build_filter_matrix(l, n_samples: int) -> BandedFilterMatrix:
-    """Build the N x (N+m-1) banded matrix of an MA filter with coefficients ``l``."""
+    """The N x (N+m-1) banded operator of an MA filter with coefficients ``l``.
+
+    Validation only, O(m): the dense form is built on first ``.matrix`` access.
+    """
     coeffs = _samples(l)
     if n_samples < 1:
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
-    m = coeffs.size
-    mat = np.zeros((n_samples, n_samples + m - 1))
-    rev = coeffs[::-1]
-    for i in range(n_samples):
-        mat[i, i : i + m] = rev
-    return BandedFilterMatrix(matrix=mat, coeffs=coeffs)
+    return BandedFilterMatrix(coeffs=coeffs, n_samples=int(n_samples))
 
 
 def convolution_matrix(h, n_cols: int) -> np.ndarray:
@@ -303,7 +323,8 @@ def simulate(
 
     The masking noise is stationary: its driving vector extends before the
     first sample, so every output sample sees the full filter memory and the
-    record matches the banded-matrix model exactly.
+    record follows the banded-matrix model; the MA filter is applied as a
+    valid-mode convolution in O(N*m).
     """
     if sigma2 < 0:
         raise ParameterError(f"sigma2 must be >= 0, got {sigma2}")
@@ -320,9 +341,8 @@ def simulate(
         coeffs = _samples(l)
         if channel == "input":
             coeffs = np.convolve(h.coeffs, coeffs)
-        band = build_filter_matrix(coeffs, n)
-        v = _draw_white(stream(seed, "v"), band.matrix.shape[1], dist)
-        y = y + band.matrix @ v
+        v = _draw_white(stream(seed, "v"), n + coeffs.size - 1, dist)
+        y = y + np.convolve(v, coeffs, mode="valid")
     if sigma2 > 0:
         y = y + np.sqrt(sigma2) * stream(seed, "e").standard_normal(n)
     return SignalSeq(y, label="y")

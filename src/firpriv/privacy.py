@@ -180,20 +180,23 @@ def gaussian_mechanism(
     )
 
 
+def _draw_mechanism(gen: np.random.Generator, mech: DpMechanism, shape) -> np.ndarray:
+    """Noise of a calibrated mechanism in the given shape, drawn from ``gen``."""
+    if mech.kind == "gaussian":
+        return mech.scale * gen.standard_normal(shape)
+    if mech.scale == 0.0:
+        return np.zeros(shape)
+    u = np.clip(gen.random(shape), 1e-300, 1.0 - 1e-16)
+    # Inverse CDF of the Laplace distribution applied to a uniform draw.
+    centered = u - 0.5
+    return -mech.scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+
+
 def sample_mechanism(mech: DpMechanism, n: int, seed: int = 0) -> np.ndarray:
     """Draw n i.i.d. noise samples from a calibrated mechanism (seed-deterministic)."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    gen = stream(seed, "dp-noise")
-    if mech.kind == "gaussian":
-        return mech.scale * gen.standard_normal(n)
-    if mech.scale == 0.0:
-        return np.zeros(n)
-    u = gen.random(n)
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    # Inverse CDF of the Laplace distribution applied to a uniform draw.
-    centered = u - 0.5
-    return -mech.scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+    return _draw_mechanism(stream(seed, "dp-noise"), mech, n)
 
 
 def _laplace_gauss_log_density(points: np.ndarray, b: float, sigma: float):

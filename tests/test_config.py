@@ -47,6 +47,11 @@ class TestParse:
         with pytest.raises(ConfigError, match="sigma2"):
             parse_config_text(text)
 
+    def test_negative_sigma2_rejected(self):
+        for bad in ("-1", "nan"):
+            with pytest.raises(ConfigError, match="sigma2 must be >= 0"):
+                parse_config_text(MINIMAL.replace("sigma2 = 1.0", f"sigma2 = {bad}"))
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate key"):
             parse_config_text(MINIMAL + "sigma2 = 2.0\n")

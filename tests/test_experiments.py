@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from firpriv import attack_simulation, parse_config_text, reproduce
+from firpriv import (
+    attack_simulation,
+    build_filter_matrix,
+    build_regressor,
+    gaussian_mechanism,
+    laplace_mechanism,
+    ls_gram_inverse,
+    parse_config_text,
+    reproduce,
+    stream,
+)
 from firpriv.cli import main
-from firpriv.experiments import reference_plant, rows_to_csv
+from firpriv.experiments import CHUNK, _fixed_input_attack, reference_plant, rows_to_csv
 
 LS_CONFIG = """
 plant_type = rational
@@ -123,6 +133,71 @@ seed = 7
         assert a.predicted_trace != b.predicted_trace  # white input redrawn too
 
 
+def dense_band_attack(h, r, estimator_map, ma_coeffs, mech, sigma2, seed, replicates):
+    """Fixed-input attack formed in the output domain with the dense band matrix."""
+    mean_y = build_regressor(r, h.size).matrix @ h
+    n = mean_y.size
+    band = build_filter_matrix(ma_coeffs, n).matrix if ma_coeffs is not None else None
+    total = total_sq = 0.0
+    for idx, start in enumerate(range(0, replicates, CHUNK)):
+        count = min(CHUNK, replicates - start)
+        gen = stream(seed, "attack", idx)
+        y = np.tile(mean_y, (count, 1))
+        if band is not None:
+            y += gen.standard_normal((count, band.shape[1])) @ band.T
+        if mech is not None and mech.kind == "gaussian":
+            y += mech.scale * gen.standard_normal((count, n))
+        elif mech is not None:
+            centered = np.clip(gen.random((count, n)), 1e-300, 1.0 - 1e-16) - 0.5
+            y += -mech.scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+        if sigma2 > 0:
+            y += np.sqrt(sigma2) * gen.standard_normal((count, n))
+        sq = np.sum((y @ estimator_map - h) ** 2, axis=1)
+        total += sq.sum()
+        total_sq += (sq * sq).sum()
+    mean = total / replicates
+    return mean, np.sqrt((total_sq / replicates - mean * mean) / replicates)
+
+
+class TestFixedInputAttack:
+    @pytest.mark.parametrize(
+        "channel", ["ma", "ma+sigma2", "laplace+sigma2", "gaussian+sigma2", "sigma2"]
+    )
+    def test_matches_dense_band_formula(self, channel):
+        rng = np.random.default_rng(15)
+        h = np.array([1.0, 0.7, 0.46])
+        r = rng.standard_normal(30)
+        reg = build_regressor(r, h.size)
+        estimator_map = reg.matrix @ ls_gram_inverse(reg)
+        ma = rng.standard_normal(4) if channel.startswith("ma") else None
+        mech = {
+            "laplace": laplace_mechanism(1.5, 2.0),
+            "gaussian": gaussian_mechanism(1.0, 1e-5, 0.8),
+        }.get(channel.split("+")[0])
+        sigma2 = 0.3 if channel.endswith("sigma2") else 0.0
+        replicates = CHUNK + 100
+        mean, se, failures = _fixed_input_attack(
+            h, r, estimator_map, ma, mech, sigma2, 9, replicates, threads=2
+        )
+        ref_mean, ref_se = dense_band_attack(
+            h, r, estimator_map, ma, mech, sigma2, 9, replicates
+        )
+        assert failures == 0
+        assert mean == pytest.approx(ref_mean, rel=1e-10)
+        assert se == pytest.approx(ref_se, rel=1e-10)
+
+    def test_noiseless_dp_design_runs(self):
+        # sigma2 = 0: the no-privacy LS error is zero, the mechanism's is not.
+        text = DP_CONFIG.replace("sigma2 = 0.25", "sigma2 = 0").replace(
+            "replicates = 30000", "replicates = 20000"
+        )
+        report = attack_simulation(parse_config_text(text), threads=2)
+        assert report.baseline_trace == 0.0
+        assert report.ratio == float("inf")
+        assert report.mechanism.lambda_y == pytest.approx(2 * report.mechanism.scale**2)
+        assert abs(report.empirical_trace - report.predicted_trace) <= 3 * report.empirical_se
+
+
 class TestReproduce:
     def test_deterministic_scenario_passes(self):
         rows = reproduce(which="deterministic", seed=0, realizations=50)
@@ -224,6 +299,13 @@ class TestCli:
         env_lines = [l for l in env_out.splitlines() if not l.startswith("runtime")]
         flag_lines = [l for l in flag_out.splitlines() if not l.startswith("runtime")]
         assert env_lines == flag_lines
+
+    def test_negative_sigma2_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "dp.cfg"
+        cfg.write_text(DP_CONFIG.replace("sigma2 = 0.25", "sigma2 = -1"))
+        code = main(["dp-laplace", "--config", str(cfg)])
+        assert code == 1
+        assert "sigma2 must be >= 0" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -155,6 +155,49 @@ class TestBuildFilterMatrix:
                     np.testing.assert_allclose(band.matrix[i, i : i + m], l[::-1], atol=0)
                     assert np.count_nonzero(band.matrix[i]) == np.count_nonzero(l)
 
+    def test_adjoint_matches_dense_transpose(self):
+        rng = np.random.default_rng(12)
+        for m in range(1, 9):
+            for n in range(1, 9):
+                band = build_filter_matrix(rng.standard_normal(m), n)
+                for k in range(1, 4):
+                    x = rng.standard_normal((n, k))
+                    np.testing.assert_allclose(
+                        band.adjoint(x), band.matrix.T @ x, rtol=0, atol=1e-12
+                    )
+
+    def test_adjoint_rejects_wrong_row_count(self):
+        band = build_filter_matrix([1.0, 0.5], 4)
+        with pytest.raises(DimensionError):
+            band.adjoint(np.ones((5, 2)))
+        with pytest.raises(DimensionError):
+            band.adjoint(np.ones(4))
+
+    def test_dense_form_built_on_demand(self):
+        band = build_filter_matrix([0.3, -0.2, 0.1], 10**5)
+        assert band.n_samples == 10**5
+        assert band.filter_length == 3
+        assert "matrix" not in vars(band)
+
+    def test_dense_form_is_readonly_and_cached(self):
+        rng = np.random.default_rng(13)
+        l = rng.standard_normal(4)
+        n = 7
+        band = build_filter_matrix(l, n)
+        expected = np.zeros((n, n + 3))
+        for i in range(n):
+            expected[i, i : i + 4] = l[::-1]
+        dense = band.matrix
+        np.testing.assert_array_equal(dense, expected)
+        assert not dense.flags.writeable
+        assert band.matrix is dense
+        with pytest.raises(ValueError):
+            dense[0, 0] = 1.0
+
+    def test_rejects_nonpositive_length(self):
+        with pytest.raises(ParameterError):
+            build_filter_matrix([1.0], 0)
+
 
 class TestConvolutionMatrix:
     def test_small_pattern(self):
@@ -186,6 +229,20 @@ class TestSimulate:
         np.testing.assert_allclose(
             y.samples, build_regressor(r, 4).matrix @ h.coeffs, atol=1e-12
         )
+
+    def test_masking_noise_matches_band_model(self):
+        # Same driving draws as the dense banded-matrix model, for both channels.
+        rng = np.random.default_rng(14)
+        h = FirModel(rng.standard_normal(3))
+        r = rng.standard_normal(40)
+        l = rng.standard_normal(4)
+        mean = build_regressor(r, 3).matrix @ h.coeffs
+        for channel, coeffs in (("output", l), ("input", np.convolve(h.coeffs, l))):
+            y = simulate(h, r, channel=channel, l=l, sigma2=0.0, seed=21).samples
+            v = stream(21, "v").standard_normal(40 + coeffs.size - 1)
+            np.testing.assert_allclose(
+                y, mean + build_filter_matrix(coeffs, 40).matrix @ v, rtol=0, atol=1e-12
+            )
 
     def test_output_noise_variance(self):
         # Stationary variance should be ||l||^2 + sigma2 at every sample.
