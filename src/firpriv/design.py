@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +32,7 @@ from .estimators import (
     CONDITION_LIMIT,
     Kernel,
     TraceQuadratic,
+    _condition_numbers,
     _kernel_inverse,
     ls_trace_quadratic,
     rls_trace_quadratic,
@@ -246,7 +247,13 @@ def design_input_capped(
         quad_f = ls_trace_quadratic(reg, sigma2, n_f)
     else:
         raise ParameterError(f"adversary must be ls or rls, got {adversary!r}")
+    return _design_input(quad_f, h_vec, sigma2, gamma1, n_l)
 
+
+def _design_input(
+    quad_f: TraceQuadratic, h_vec: np.ndarray, sigma2: float, gamma1: float, n_l: int
+) -> DesignResult:
+    """Input design from the record's quadratic in the filter ``conv(h, l)``."""
     Hmat = convolution_matrix(h_vec, n_l)
     m_prime = Hmat.T @ quad_f.matrix @ Hmat
     gram = Hmat.T @ Hmat
@@ -387,8 +394,7 @@ def estimate_expected_quadratic(
             gram = np.einsum("bij,bik->bjk", R, R)
             if adversary == "rls":
                 gram = gram + kernel.eta * kinv
-            cond = np.linalg.cond(gram)
-            bad = ~np.isfinite(cond) | (cond > CONDITION_LIMIT)
+            bad = ~(_condition_numbers(gram) <= CONDITION_LIMIT)
             if not bad.any():
                 break
             redraws += int(bad.sum())
@@ -431,16 +437,5 @@ def design_output_random(quadratic, sigma2: float, gamma1: float) -> DesignResul
     """
     quad = _check_quadratic(quadratic)
     result = design_output_capped(quad, sigma2, gamma1)
-    lam1 = result.top_eigenvalue
-    ratio = 1.0 + lam1 * (gamma1 - sigma2) / quad.offset
-    return DesignResult(
-        l_star=result.l_star,
-        predicted_trace=result.predicted_trace,
-        lambda_y=result.lambda_y,
-        rho=result.rho,
-        active_constraint=result.active_constraint,
-        top_eigenvalue=result.top_eigenvalue,
-        degenerate_objective=result.degenerate_objective,
-        degenerate_top_eigenspace=result.degenerate_top_eigenspace,
-        predicted_ratio=ratio,
-    )
+    ratio = 1.0 + result.top_eigenvalue * (gamma1 - sigma2) / quad.offset
+    return replace(result, predicted_ratio=ratio)

@@ -8,7 +8,9 @@ designers in :mod:`firpriv.design` optimize against these formulas.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, toeplitz
@@ -94,6 +96,21 @@ class TraceQuadratic:
         return self.matrix.shape[0]
 
 
+@dataclass(frozen=True)
+class RecordQuadratic(TraceQuadratic):
+    """Trace quadratic of one fixed input record, with the analysis behind it.
+
+    ``estimator_map`` is the (N, n_h) map E with ``h_hat = E' y``: the
+    transpose of the estimator's gain C.  ``bias`` is the squared bias
+    ``||h - C R h||^2`` (zero for LS) and ``noise_gain`` is ``tr(C C')``, so
+    ``offset == bias + sigma2 * noise_gain``.
+    """
+
+    estimator_map: Optional[np.ndarray] = None
+    bias: float = 0.0
+    noise_gain: float = 0.0
+
+
 def _regressor(R) -> np.ndarray:
     if isinstance(R, RegressorMatrix):
         return np.asarray(R.matrix)
@@ -108,16 +125,45 @@ def _noise_band(noise_matrix) -> np.ndarray | None:
     return np.asarray(noise_matrix, dtype=float)
 
 
-def _checked_gram(Rm: np.ndarray) -> np.ndarray:
-    gram = Rm.T @ Rm
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+def _condition_numbers(mats: np.ndarray) -> np.ndarray:
+    """Condition numbers ``lambda_max / lambda_min`` of symmetric matrices.
+
+    Works on one matrix or a stack.  A smallest eigenvalue at or below zero
+    means the matrix is numerically singular or indefinite, which counts as
+    an infinite condition number rather than a negative ratio.
+    """
+    eigs = np.linalg.eigvalsh(mats)
+    low, high = eigs[..., 0], eigs[..., -1]
+    return np.divide(high, low, out=np.full(np.shape(low), np.inf), where=low > 0)
+
+
+def _check_condition(mats: np.ndarray, what: str) -> None:
+    """Raise :class:`ConditioningError` unless every matrix passes ``CONDITION_LIMIT``."""
+    cond = _condition_numbers(mats)
+    bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
+    if bad.size:
+        condition = float(np.ravel(cond)[bad[0]])
+        record = f" (record {bad[0]})" if np.ndim(cond) else ""
         raise ConditioningError(
-            f"normal-equation matrix rejected: condition estimate {cond:.3e} "
+            f"{what} rejected{record}: condition estimate {condition:.3e} "
             f"exceeds {CONDITION_LIMIT:.0e}",
-            condition=float(cond),
+            condition=condition,
         )
+
+
+def _checked_gram(Rm: np.ndarray) -> np.ndarray:
+    gram = np.swapaxes(Rm, -1, -2) @ Rm
+    _check_condition(gram, "normal-equation matrix")
     return gram
+
+
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm, summed by NumPy.
+
+    ``np.linalg.norm`` hands an (n_h, N) block to a threaded BLAS dot
+    product, which can stall for milliseconds on a busy machine.
+    """
+    return math.sqrt(np.sum(x * x))
 
 
 def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -129,13 +175,13 @@ def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     factor = cho_factor((mat + mat.T) / 2.0)
     x = cho_solve(factor, rhs)
-    scale = max(np.linalg.norm(rhs), 1e-300)
+    scale = max(_norm(rhs), 1e-300)
     for _ in range(3):
         residual = rhs - mat @ x
-        if np.linalg.norm(residual) <= RESIDUAL_TOL * scale:
+        if _norm(residual) <= RESIDUAL_TOL * scale:
             return x
         x = x + cho_solve(factor, residual)
-    if np.linalg.norm(rhs - mat @ x) > RESIDUAL_TOL * scale:
+    if _norm(rhs - mat @ x) > RESIDUAL_TOL * scale:
         raise ConditioningError(
             "linear solve did not reach the required residual after refinement"
         )
@@ -145,6 +191,16 @@ def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _spd_inverse(mat: np.ndarray) -> np.ndarray:
     inv = _spd_solve(mat, np.eye(mat.shape[0]))
     return (inv + inv.T) / 2.0
+
+
+def _regressor_stack(R):
+    """The regressors as a contiguous (b, N, n_h) stack, and whether one (N, n_h) was given.
+
+    Contiguous records let stacked matmuls run each record through the same
+    BLAS calls as a single (N, n_h) regressor, so results do not depend on b.
+    """
+    Rm = np.ascontiguousarray(_regressor(R))
+    return (Rm[np.newaxis], True) if Rm.ndim == 2 else (Rm, False)
 
 
 def ls_estimate(R, y) -> LsEstimate:
@@ -166,11 +222,15 @@ def ls_estimate(R, y) -> LsEstimate:
 def ls_gram_inverse(R) -> np.ndarray:
     """Condition-checked inverse of the normal-equation matrix ``R'R``.
 
-    Its trace is the LS noise gain ``tr(inv(R'R))`` and ``R @ inverse`` is the
-    estimator map (``h_hat = (R @ inverse)' y``).  Rejects instances whose
-    condition estimate exceeds ``CONDITION_LIMIT``, like :func:`ls_estimate`.
+    ``R`` is one regressor (N, n_h) or a stack (b, N, n_h), giving one
+    inverse or a stack of them.  Its trace is the LS noise gain
+    ``tr(inv(R'R))`` and ``R @ inverse`` is the estimator map
+    (``h_hat = (R @ inverse)' y``).  Rejects instances whose condition
+    estimate exceeds ``CONDITION_LIMIT``, like :func:`ls_estimate`.
     """
-    return _spd_inverse(_checked_gram(_regressor(R)))
+    Rs, single = _regressor_stack(R)
+    inverses = np.stack([_spd_inverse(gram) for gram in _checked_gram(Rs)])
+    return inverses[0] if single else inverses
 
 
 def ls_covariance(R, noise_matrix=None, sigma2: float = 0.0) -> ErrorReport:
@@ -194,27 +254,15 @@ def ls_covariance(R, noise_matrix=None, sigma2: float = 0.0) -> ErrorReport:
     return ErrorReport(matrix=cov, trace=float(np.trace(cov)), adversary="LS")
 
 
-def _diagonal_sums(A: np.ndarray, n_l: int) -> np.ndarray:
-    """Sums of the diagonals of A @ A.T at offsets 0..n_l-1, without forming it."""
-    n = A.shape[0]
-    return np.array([np.sum(A[: n - d] * A[d:]) for d in range(n_l)])
-
-
 def ls_trace_quadratic(R, sigma2: float, n_l: int) -> TraceQuadratic:
     """Reduce the LS error trace to a quadratic in the MA filter coefficients.
 
     The quadratic's matrix is symmetric Toeplitz: entry (a, b) is the sum of
     the |a-b|-offset diagonal of ``E = R inv(R'R) inv(R'R) R'``.  Computing it
     this way costs O(n_l * N * n_h) and never materializes the huge Kronecker
-    product that defines it.
+    product that defines it.  See :func:`analyze_records`.
     """
-    if n_l < 1:
-        raise ParameterError(f"n_l must be >= 1, got {n_l}")
-    Rm = _regressor(R)
-    ginv = ls_gram_inverse(Rm)
-    A = Rm @ ginv
-    mat = toeplitz(_diagonal_sums(A, n_l))
-    return TraceQuadratic(matrix=mat, offset=float(sigma2 * np.trace(ginv)), adversary="LS")
+    return analyze_records(R, sigma2, n_l)[0]
 
 
 def _kernel_inverse(kernel: Kernel, allow_singular: bool) -> np.ndarray:
@@ -234,24 +282,21 @@ def _kernel_inverse(kernel: Kernel, allow_singular: bool) -> np.ndarray:
 
 
 def rls_gain(R, kernel: Kernel, allow_singular_kernel: bool = False) -> np.ndarray:
-    """The linear map C with h_hat = C y for the regularized estimator."""
-    return _rls_gain(R, kernel, allow_singular_kernel)
+    """The linear map C with h_hat = C y for the regularized estimator.
 
-
-def _rls_gain(R, kernel: Kernel, allow_singular: bool) -> np.ndarray:
-    Rm = _regressor(R)
-    if kernel.size != Rm.shape[1]:
-        raise DimensionError(f"kernel size {kernel.size} != coefficient count {Rm.shape[1]}")
-    kinv = _kernel_inverse(kernel, allow_singular)
-    mat = Rm.T @ Rm + kernel.eta * kinv
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise ConditioningError(
-            f"regularized normal matrix rejected: condition estimate {cond:.3e} "
-            f"exceeds {CONDITION_LIMIT:.0e}",
-            condition=float(cond),
-        )
-    return _spd_solve(mat, Rm.T)
+    ``R`` is one regressor (N, n_h), giving C of shape (n_h, N), or a stack
+    (b, N, n_h), giving (b, n_h, N).  Every record's regularized normal
+    matrix ``R'R + eta inv(K)`` must pass ``CONDITION_LIMIT``, and every
+    solve the ``RESIDUAL_TOL`` residual check.
+    """
+    Rs, single = _regressor_stack(R)
+    if kernel.size != Rs.shape[-1]:
+        raise DimensionError(f"kernel size {kernel.size} != coefficient count {Rs.shape[-1]}")
+    Rt = np.swapaxes(Rs, -1, -2)
+    mats = Rt @ Rs + kernel.eta * _kernel_inverse(kernel, allow_singular_kernel)
+    _check_condition(mats, "regularized normal matrix")
+    gains = np.stack([_spd_solve(mat, rt) for mat, rt in zip(mats, Rt)])
+    return gains[0] if single else gains
 
 
 def rls_estimate(R, y, kernel: Kernel, allow_singular_kernel: bool = False) -> LsEstimate:
@@ -265,7 +310,7 @@ def rls_estimate(R, y, kernel: Kernel, allow_singular_kernel: bool = False) -> L
     yv = _samples(y)
     if yv.size != Rm.shape[0]:
         raise DimensionError(f"output length {yv.size} != regressor rows {Rm.shape[0]}")
-    C = _rls_gain(R, kernel, allow_singular_kernel)
+    C = rls_gain(R, kernel, allow_singular_kernel)
     h_hat = C @ yv
     return LsEstimate(h_hat=h_hat, residual_norm=float(np.linalg.norm(yv - Rm @ h_hat)))
 
@@ -286,7 +331,7 @@ def rls_mse(
     if kernel is None:
         raise ParameterError("rls_mse requires a kernel")
     Rm = _regressor(R)
-    C = _rls_gain(R, kernel, allow_singular_kernel)
+    C = rls_gain(R, kernel, allow_singular_kernel)
     h = _samples(h_true)
     bias_vec = h - C @ (Rm @ h)
     mse = np.outer(bias_vec, bias_vec) + sigma2 * (C @ C.T)
@@ -314,18 +359,75 @@ def rls_trace_quadratic(
 
     Same Toeplitz construction as :func:`ls_trace_quadratic` with
     ``E = C'C``; the offset collects the bias term and the measurement-noise
-    term, neither of which depends on the MA filter.
+    term, neither of which depends on the MA filter.  See
+    :func:`analyze_records`.
+    """
+    return analyze_records(R, sigma2, n_l, kernel, h_true, allow_singular_kernel)[0]
+
+
+def analyze_records(
+    R,
+    sigma2: float,
+    n_l: int,
+    kernel: Optional[Kernel] = None,
+    h_true=None,
+    allow_singular_kernel: bool = False,
+) -> List[RecordQuadratic]:
+    """Exact error analysis of fixed input records, one gain solve per record.
+
+    ``R`` is one regressor (N, n_h) or a stack (b, N, n_h) of equal-length
+    records; the result holds one :class:`RecordQuadratic` per record, at
+    measurement-noise variance ``sigma2``.  Without a kernel the adversary is
+    plain LS, whose estimator map is ``R inv(R'R)`` (:func:`ls_gram_inverse`)
+    and which has no bias; with one it is the regularized estimator with
+    gain C (:func:`rls_gain`), whose bias needs ``h_true``.  Everything else
+    is derived from the map: the noise gain ``tr(C C')``, the squared bias
+    ``||h - C R h||^2`` and the first ``n_l`` diagonal sums of ``C'C``, which
+    define the Toeplitz trace quadratic.  The condition test runs on the
+    whole stack at once; any record that fails it, or the residual check of
+    its solve, fails the whole call.
     """
     if n_l < 1:
         raise ParameterError(f"n_l must be >= 1, got {n_l}")
-    Rm = _regressor(R)
-    C = _rls_gain(R, kernel, allow_singular_kernel)
-    h = _samples(h_true)
-    bias_vec = h - C @ (Rm @ h)
-    offset = float(bias_vec @ bias_vec + sigma2 * np.sum(C * C))
-    # Diagonal sums of C'C: offset-d sum is sum_i C[:, i] . C[:, i+d].
-    mat = toeplitz(_diagonal_sums(C.T, n_l))
-    return TraceQuadratic(matrix=mat, offset=offset, adversary="RLS")
+    Rs, _ = _regressor_stack(R)
+    if kernel is None:
+        gram_inv = ls_gram_inverse(Rs)
+        estimator_map = Rs @ gram_inv
+        noise_gain = np.trace(gram_inv, axis1=1, axis2=2)
+        bias = np.zeros(len(Rs))
+    else:
+        if h_true is None:
+            raise ParameterError("the regularized analysis requires h_true")
+        h = _samples(h_true)
+        gain = rls_gain(Rs, kernel, allow_singular_kernel)
+        estimator_map = np.swapaxes(gain, 1, 2)
+        # Stacked matmuls and sums repeat each record's own BLAS arithmetic.
+        bias_vec = h - (gain @ (Rs @ h)[:, :, np.newaxis])[:, :, 0]
+        bias = (bias_vec[:, np.newaxis] @ bias_vec[:, :, np.newaxis]).ravel()
+        noise_gain = np.sum(gain * gain, axis=(1, 2))
+    n = Rs.shape[1]
+    # Offset-d diagonal sum of C'C: the sum over t of E[t] . E[t + d].  The
+    # sum runs in the map's memory order, as a per-record np.sum would: the
+    # sign of an antisymmetric top eigenvector of the quadratic, and so of a
+    # designed filter, is decided by these rounding bits.
+    sums = np.stack(
+        [
+            np.sum(estimator_map[:, : n - d] * estimator_map[:, d:], axis=(1, 2))
+            for d in range(n_l)
+        ],
+        axis=1,
+    )
+    return [
+        RecordQuadratic(
+            matrix=toeplitz(sums[k]),
+            offset=float(bias[k] + sigma2 * noise_gain[k]),
+            adversary="LS" if kernel is None else "RLS",
+            estimator_map=estimator_map[k],
+            bias=float(bias[k]),
+            noise_gain=float(noise_gain[k]),
+        )
+        for k in range(len(Rs))
+    ]
 
 
 def stable_spline_kernel(n_h: int, beta: float) -> np.ndarray:

@@ -26,7 +26,8 @@ from .design import (
     DesignResult,
     DesignSpec,
     RandomInputModel,
-    design_input_capped,
+    _batched_regressors,
+    _design_input,
     design_output_capped,
     design_output_random,
     design_output_weighted,
@@ -36,9 +37,9 @@ from .errors import ConfigError, ParameterError, RedrawBudgetError
 from .estimators import (
     CONDITION_LIMIT,
     Kernel,
-    ls_gram_inverse,
+    _condition_numbers,
+    analyze_records,
     ls_trace_quadratic,
-    rls_gain,
     rls_trace_quadratic,
     stable_spline_kernel,
 )
@@ -275,12 +276,9 @@ def _random_input_attack(
         for n in np.unique(lengths):
             idx = np.flatnonzero(lengths == n)
             n = int(n)
-            r = r_block[idx, :n]
-            padded = np.concatenate([np.zeros((idx.size, n_h - 1)), r], axis=1)
-            R = np.lib.stride_tricks.sliding_window_view(padded, n_h, axis=1)[:, :, ::-1]
+            R = _batched_regressors(r_block[idx, :n], n_h)
             gram = np.einsum("bij,bik->bjk", R, R)
-            cond = np.linalg.cond(gram)
-            good = np.isfinite(cond) & (cond <= CONDITION_LIMIT)
+            good = _condition_numbers(gram) <= CONDITION_LIMIT
             failures += int(np.sum(~good))
             if not good.any():
                 continue
@@ -314,44 +312,40 @@ def _random_input_attack(
 
 
 def _design_fixed(config: ExperimentConfig, h: FirModel, r: np.ndarray):
-    """Design/calibrate for a fixed input; returns analytic quantities and noise."""
+    """Design/calibrate for a fixed input; returns analytic quantities and noise.
+
+    The record is analyzed once: its trace quadratic also carries the
+    attack's estimator map, the bias and the noise gain.  The input design
+    needs the quadratic in the output-domain filter ``conv(h, l)``, which has
+    ``len(h) - 1`` more coefficients than ``l``.
+    """
     reg = build_regressor(r, len(h))
     kernel = _resolve_kernel(config, len(h))
-    if config.adversary == "rls":
-        C = rls_gain(reg, kernel)
-        bias_vec = h.coeffs - C @ (reg.matrix @ h.coeffs)
-        bias = float(bias_vec @ bias_vec)
-        noise_gain = float(np.sum(C * C))
-        estimator_map = C.T
+    spec = None
+    n_l = 1
+    if config.design_type in ("output_capped", "output_weighted", "input_capped"):
+        spec = _design_spec(config)
+        n_l = spec.n_l + (len(h) - 1 if spec.channel == "input" else 0)
+    if kernel is not None:
+        quad = rls_trace_quadratic(reg, h, kernel, config.sigma2, n_l)
     else:
-        gram_inv = ls_gram_inverse(reg)
-        bias = 0.0
-        noise_gain = float(np.trace(gram_inv))
-        estimator_map = reg.matrix @ gram_inv
+        quad = ls_trace_quadratic(reg, config.sigma2, n_l)
 
     design = None
     mech = None
     ma_coeffs = None
-    if config.design_type in ("output_capped", "output_weighted", "input_capped"):
-        spec = _design_spec(config)
+    if spec is not None:
         if spec.channel == "input":
-            design = design_input_capped(
-                r, h, spec.sigma2, spec.gamma1, spec.n_l,
-                adversary=spec.adversary, kernel=kernel,
-            )
+            design = _design_input(quad, h.coeffs, spec.sigma2, spec.gamma1, spec.n_l)
             ma_coeffs = np.convolve(h.coeffs, design.l_star)
         else:
-            if spec.adversary == "rls":
-                quad = rls_trace_quadratic(reg, h, kernel, spec.sigma2, spec.n_l)
-            else:
-                quad = ls_trace_quadratic(reg, spec.sigma2, spec.n_l)
             if spec.gamma1 is not None:
                 design = design_output_capped(quad, spec.sigma2, spec.gamma1)
             else:
                 design = design_output_weighted(quad, spec.gamma2, sigma2=spec.sigma2)
             ma_coeffs = design.l_star
         predicted = design.predicted_trace
-        baseline = bias + design.lambda_y * noise_gain
+        baseline = quad.bias + design.lambda_y * quad.noise_gain
     else:
         box = CoefficientBox(config.dp_lower, config.dp_upper, len(h))
         if config.design_type == "dp_laplace":
@@ -360,9 +354,9 @@ def _design_fixed(config: ExperimentConfig, h: FirModel, r: np.ndarray):
             mech = gaussian_mechanism(
                 config.dp_epsilon, config.dp_delta, l2_sensitivity(r, box), config.sigma2
             )
-        predicted = bias + (mech.noise_variance + config.sigma2) * noise_gain
-        baseline = bias + config.sigma2 * noise_gain  # no-privacy baseline
-    return design, mech, ma_coeffs, estimator_map, predicted, baseline
+        predicted = quad.bias + (mech.noise_variance + config.sigma2) * quad.noise_gain
+        baseline = quad.bias + config.sigma2 * quad.noise_gain  # no-privacy baseline
+    return design, mech, ma_coeffs, quad.estimator_map, predicted, baseline
 
 
 def attack_simulation(
@@ -449,24 +443,19 @@ def _deterministic_traces(seed: int, realizations: int, rls: bool):
         if rls
         else None
     )
+    records = np.stack([
+        generate_filtered_input(w, params["n_samples"], seed=derive(seed, "det-input", k)).samples
+        for k in range(realizations)
+    ])
+    quads = analyze_records(
+        _batched_regressors(records, len(h)), params["sigma2"], params["n_l"], kernel, h
+    )
     designed = np.empty(realizations)
     baseline = np.empty(realizations)
-    for k in range(realizations):
-        r = generate_filtered_input(w, params["n_samples"], seed=derive(seed, "det-input", k))
-        reg = build_regressor(r, len(h))
-        if rls:
-            quad = rls_trace_quadratic(reg, h, kernel, params["sigma2"], params["n_l"])
-            C = rls_gain(reg, kernel)
-            bias_vec = h.coeffs - C @ (reg.matrix @ h.coeffs)
-            bias = float(bias_vec @ bias_vec)
-            noise_gain = float(np.sum(C * C))
-        else:
-            quad = ls_trace_quadratic(reg, params["sigma2"], params["n_l"])
-            bias = 0.0
-            noise_gain = quad.offset / params["sigma2"]
+    for k, quad in enumerate(quads):
         result = design_output_capped(quad, params["sigma2"], params["gamma1"])
         designed[k] = result.predicted_trace
-        baseline[k] = bias + result.lambda_y * noise_gain
+        baseline[k] = quad.bias + result.lambda_y * quad.noise_gain
     return designed, baseline
 
 

@@ -166,7 +166,13 @@ def gaussian_noise_multiplier(epsilon: float, delta: float) -> float:
 def gaussian_mechanism(
     epsilon: float, delta: float, l2_sensitivity: float, sigma2: float = 0.0
 ) -> DpMechanism:
-    """Tightest Gaussian deviation achieving (epsilon, delta)-privacy."""
+    """Gaussian deviation achieving (epsilon, delta)-privacy by a sufficient condition.
+
+    This is the classical calibration from a one-sided tail bound (see
+    :func:`gaussian_noise_multiplier`).  It is not tight: the exact privacy
+    profile of the Gaussian mechanism admits a smaller deviation for the same
+    (epsilon, delta), and the delta it delivers is below the one requested.
+    """
     if l2_sensitivity < 0:
         raise ParameterError(f"l2_sensitivity must be >= 0, got {l2_sensitivity}")
     std = gaussian_noise_multiplier(epsilon, delta) * l2_sensitivity / epsilon

@@ -20,6 +20,7 @@ from firpriv import (
     rls_mse,
     rls_trace_quadratic,
     build_filter_matrix,
+    derive,
     stable_spline_kernel,
 )
 from helpers import ball_samples, random_regressor, sphere_samples
@@ -270,6 +271,16 @@ class TestRandomInputModel:
 
 
 class TestEstimateExpectedQuadratic:
+    def test_redraw_counts_pinned_on_design_sweep_model(self):
+        # The random-input design of the design benchmark: which replicates the
+        # condition test redraws must not change with how the test is computed.
+        model = RandomInputModel.uniform_gaussian(10, 20, 20, 100)
+        redraws = [
+            estimate_expected_quadratic(model, 9, 5, 0.1, seed=derive(s, "design")).redraws
+            for s in range(8)
+        ]
+        assert redraws == [3, 2, 2, 2, 0, 1, 9, 1]
+
     def test_point_mass_matches_deterministic(self):
         rng = np.random.default_rng(12)
         n, n_h, n_l, sigma2 = 20, 3, 4, 0.4

@@ -7,10 +7,12 @@ from firpriv import (
     Kernel,
     ParameterError,
     SingularKernelError,
+    analyze_records,
     build_filter_matrix,
     build_regressor,
     ls_covariance,
     ls_estimate,
+    ls_gram_inverse,
     ls_trace_quadratic,
     rls_estimate,
     rls_gain,
@@ -18,6 +20,7 @@ from firpriv import (
     rls_trace_quadratic,
     stable_spline_kernel,
 )
+from firpriv.estimators import CONDITION_LIMIT, _condition_numbers
 from helpers import dense_error_matrix, kron_quadratic, random_regressor
 
 
@@ -303,6 +306,81 @@ class TestRlsTraceQuadratic:
         )
         np.testing.assert_allclose(rls_quad.matrix, ls_quad.matrix, rtol=1e-6, atol=1e-10)
         assert rls_quad.offset == pytest.approx(ls_quad.offset, rel=1e-6)
+
+
+def textbook_analysis(reg_mat, n_l, kernel=None, h=None):
+    """One record's map, bias, noise gain and diagonal sums from the plain formulas."""
+    gram = reg_mat.T @ reg_mat
+    if kernel is None:
+        gram_inv = np.linalg.inv(gram)
+        gain = gram_inv @ reg_mat.T
+        bias, noise_gain = 0.0, np.trace(gram_inv)
+    else:
+        gain = np.linalg.solve(gram + kernel.eta * np.linalg.inv(kernel.matrix), reg_mat.T)
+        bias_vec = h - gain @ (reg_mat @ h)
+        bias, noise_gain = bias_vec @ bias_vec, np.sum(gain * gain)
+    n = reg_mat.shape[0]
+    sums = np.array([np.sum(gain[:, : n - d] * gain[:, d:]) for d in range(n_l)])
+    return gain.T, bias, noise_gain, sums
+
+
+class TestAnalyzeRecords:
+    @pytest.mark.parametrize("rls", [False, True])
+    @pytest.mark.parametrize("b, n", [(50, 200), (1, 2000)])
+    def test_matches_per_record_formulas(self, b, n, rls):
+        rng = np.random.default_rng(30 + b)
+        n_h, n_l, sigma2 = 9, 10, 0.7
+        stack = np.stack(
+            [build_regressor(rng.standard_normal(n), n_h).matrix for _ in range(b)]
+        )
+        h = rng.standard_normal(n_h)
+        kernel = spline_kernel(n_h) if rls else None
+        quads = analyze_records(stack, sigma2, n_l, kernel, h)
+        assert len(quads) == b
+        for k, quad in enumerate(quads):
+            assert quad.adversary == ("RLS" if rls else "LS")
+            emap, bias, noise_gain, sums = textbook_analysis(stack[k], n_l, kernel, h)
+            close = dict(rtol=1e-12, atol=1e-12 * np.abs(emap).max())
+            np.testing.assert_allclose(quad.estimator_map, emap, **close)
+            np.testing.assert_allclose(quad.matrix[:, 0], sums, rtol=1e-12, atol=1e-12 * sums[0])
+            assert quad.noise_gain == pytest.approx(noise_gain, rel=1e-12)
+            assert quad.bias == pytest.approx(bias, rel=1e-12, abs=1e-15)
+            assert quad.offset == pytest.approx(bias + sigma2 * noise_gain, rel=1e-12)
+            # The single-record entry points give the same record analysis.
+            single = (
+                rls_trace_quadratic(stack[k], h, kernel, sigma2, n_l)
+                if rls
+                else ls_trace_quadratic(stack[k], sigma2, n_l)
+            )
+            np.testing.assert_allclose(single.matrix, quad.matrix, rtol=1e-12)
+            assert single.offset == pytest.approx(quad.offset, rel=1e-12)
+            if rls:
+                np.testing.assert_allclose(rls_gain(stack[k], kernel), emap.T, **close)
+            else:
+                np.testing.assert_allclose(stack[k] @ ls_gram_inverse(stack[k]), emap, **close)
+
+    def test_rank_deficient_record_fails_the_batch(self):
+        rng = np.random.default_rng(31)
+        records = rng.standard_normal((20, 50))
+        records[17] = 0.0
+        stack = np.stack([build_regressor(r, 4).matrix for r in records])
+        with pytest.raises(ConditioningError, match=r"record 17.*condition estimate"):
+            analyze_records(stack, 1.0, 3)
+
+    def test_nonpositive_smallest_eigenvalue_is_infinitely_ill_conditioned(self):
+        mats = np.array([np.diag([1.0, -1e-17]), np.diag([1.0, 0.0]), np.diag([2.0, 1.0])])
+        np.testing.assert_array_equal(_condition_numbers(mats), [np.inf, np.inf, 2.0])
+        # A rank-one gram whose computed smallest eigenvalue may fall below zero.
+        rng = np.random.default_rng(0)
+        reg_mat = np.outer(rng.standard_normal(6), rng.standard_normal(3))
+        with pytest.raises(ConditioningError) as excinfo:
+            ls_gram_inverse(reg_mat)
+        assert excinfo.value.condition > CONDITION_LIMIT
+
+    def test_regularized_analysis_requires_truth(self):
+        reg = build_regressor(np.arange(1.0, 11.0), 3)
+        with pytest.raises(ParameterError):
+            analyze_records(reg, 1.0, 2, spline_kernel(3))
 
 
 class TestStableSplineKernel:
