@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import (
     BudgetError,
@@ -29,11 +28,11 @@ from .errors import (
     RedrawBudgetError,
 )
 from .estimators import (
-    CONDITION_LIMIT,
     Kernel,
     TraceQuadratic,
-    _condition_numbers,
     _kernel_inverse,
+    _screened_inverse,
+    _toeplitz,
     ls_trace_quadratic,
     rls_trace_quadratic,
 )
@@ -394,7 +393,8 @@ def estimate_expected_quadratic(
             gram = np.einsum("bij,bik->bjk", R, R)
             if adversary == "rls":
                 gram = gram + kernel.eta * kinv
-            bad = ~(_condition_numbers(gram) <= CONDITION_LIMIT)
+            good, gram_inv = _screened_inverse(gram)
+            bad = ~good
             if not bad.any():
                 break
             redraws += int(bad.sum())
@@ -404,7 +404,6 @@ def estimate_expected_quadratic(
                     f"({max_redraw_fraction:.1%} of {total})"
                 )
             r_block[bad] = _draw_inputs(model, gen, int(bad.sum()), n)
-        gram_inv = np.linalg.inv(gram)
         if adversary == "ls":
             A = np.einsum("bij,bjk->bik", R, gram_inv)  # rows of E = A A'
             offset_acc += sigma2 * np.einsum("bii->", gram_inv)
@@ -418,7 +417,7 @@ def estimate_expected_quadratic(
 
     if redraws:
         logger.info("expected-quadratic estimate: %d of %d replicates redrawn", redraws, total)
-    matrix = toeplitz(diag_acc / total)
+    matrix = _toeplitz(diag_acc / total)
     return ExpectedTraceQuadratic(
         matrix=matrix,
         offset=float(offset_acc / total),

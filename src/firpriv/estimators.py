@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConditioningError, DimensionError, ParameterError, SingularKernelError
 from .lti import BandedFilterMatrix, FirModel, RegressorMatrix, _samples
@@ -117,12 +117,15 @@ def _regressor(R) -> np.ndarray:
     return np.asarray(R, dtype=float)
 
 
-def _noise_band(noise_matrix) -> np.ndarray | None:
+def _noise_band(noise_matrix, rows: int) -> np.ndarray | None:
     if noise_matrix is None:
         return None
     if isinstance(noise_matrix, BandedFilterMatrix):
-        return np.asarray(noise_matrix.matrix)
-    return np.asarray(noise_matrix, dtype=float)
+        noise_matrix = noise_matrix.matrix
+    band = np.asarray(noise_matrix, dtype=float)
+    if band.shape[0] != rows:
+        raise DimensionError(f"noise matrix rows {band.shape[0]} != regressor rows {rows}")
+    return band
 
 
 def _condition_numbers(mats: np.ndarray) -> np.ndarray:
@@ -135,6 +138,35 @@ def _condition_numbers(mats: np.ndarray) -> np.ndarray:
     eigs = np.linalg.eigvalsh(mats)
     low, high = eigs[..., 0], eigs[..., -1]
     return np.divide(high, low, out=np.full(np.shape(low), np.inf), where=low > 0)
+
+
+def _screened_inverse(grams: np.ndarray):
+    """``(good, inverses)``: ``_condition_numbers <= CONDITION_LIMIT`` and the accepted inverses.
+
+    For Gram matrices (positive semidefinite but for rounding), the Frobenius
+    product ``|G| |inv G| >= |lambda|_max / |lambda|_min``, and a rounding-level
+    eigenvalue of either sign puts it far over the limit; a matrix whose product is
+    100 times under the limit needs no eigenvalue solve.  If inverting the stack
+    fails, it is tested exactly first.
+    """
+    try:
+        inverses = np.linalg.inv(grams)
+    except np.linalg.LinAlgError:
+        good = _condition_numbers(grams) <= CONDITION_LIMIT
+        return good, np.linalg.inv(grams[good])
+    squares = np.einsum("bij,bij->b", grams, grams) * np.einsum("bij,bij->b", inverses, inverses)
+    good = squares <= (CONDITION_LIMIT / 100) ** 2
+    if not good.all():
+        rest = ~good
+        good[rest] = _condition_numbers(grams[rest]) <= CONDITION_LIMIT
+        inverses = inverses[good]
+    return good, inverses
+
+
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """Symmetric Toeplitz matrices with first column ``c``, over its last axis."""
+    idx = np.arange(c.shape[-1])
+    return c[..., np.abs(idx[:, np.newaxis] - idx)]
 
 
 def _check_condition(mats: np.ndarray, what: str) -> None:
@@ -167,30 +199,28 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve an SPD system by Cholesky, refined until the residual is tiny.
+    """Solve an SPD system by LAPACK Cholesky, refined until the residual is tiny.
 
-    Raises :class:`ConditioningError` if three refinement steps cannot push
-    the relative residual below ``RESIDUAL_TOL``; solutions that would
-    silently violate the advertised accuracy are never returned.
+    Raises :class:`ConditioningError` if the factorization fails or three
+    refinement steps cannot push the relative residual below ``RESIDUAL_TOL``;
+    solutions that would silently violate the advertised accuracy are never returned.
     """
-    factor = cho_factor((mat + mat.T) / 2.0)
-    x = cho_solve(factor, rhs)
+    # cho_factor/cho_solve wrap these routines with costly per-call checks.
+    factor, info = dpotrf((mat + mat.T) / 2.0, overwrite_a=True, clean=False)
+    if info != 0:
+        raise ConditioningError(f"Cholesky factorization failed (LAPACK info {info})")
+    x = dpotrs(factor, rhs)[0]
     scale = max(_norm(rhs), 1e-300)
     for _ in range(3):
         residual = rhs - mat @ x
         if _norm(residual) <= RESIDUAL_TOL * scale:
             return x
-        x = x + cho_solve(factor, residual)
-    if _norm(rhs - mat @ x) > RESIDUAL_TOL * scale:
+        x = x + dpotrs(factor, residual)[0]
+    if not _norm(rhs - mat @ x) <= RESIDUAL_TOL * scale:  # NaN fails too
         raise ConditioningError(
             "linear solve did not reach the required residual after refinement"
         )
     return x
-
-
-def _spd_inverse(mat: np.ndarray) -> np.ndarray:
-    inv = _spd_solve(mat, np.eye(mat.shape[0]))
-    return (inv + inv.T) / 2.0
 
 
 def _regressor_stack(R):
@@ -229,7 +259,8 @@ def ls_gram_inverse(R) -> np.ndarray:
     estimate exceeds ``CONDITION_LIMIT``, like :func:`ls_estimate`.
     """
     Rs, single = _regressor_stack(R)
-    inverses = np.stack([_spd_inverse(gram) for gram in _checked_gram(Rs)])
+    inverses = np.stack([_spd_solve(g, np.eye(len(g))) for g in _checked_gram(Rs)])
+    inverses = (inverses + np.swapaxes(inverses, 1, 2)) / 2.0
     return inverses[0] if single else inverses
 
 
@@ -242,12 +273,8 @@ def ls_covariance(R, noise_matrix=None, sigma2: float = 0.0) -> ErrorReport:
     Rm = _regressor(R)
     ginv = ls_gram_inverse(Rm)
     cov = sigma2 * ginv
-    band = _noise_band(noise_matrix)
+    band = _noise_band(noise_matrix, Rm.shape[0])
     if band is not None:
-        if band.shape[0] != Rm.shape[0]:
-            raise DimensionError(
-                f"noise matrix rows {band.shape[0]} != regressor rows {Rm.shape[0]}"
-            )
         T = band.T @ (Rm @ ginv)
         cov = cov + T.T @ T
     cov = (cov + cov.T) / 2.0
@@ -335,12 +362,8 @@ def rls_mse(
     h = _samples(h_true)
     bias_vec = h - C @ (Rm @ h)
     mse = np.outer(bias_vec, bias_vec) + sigma2 * (C @ C.T)
-    band = _noise_band(noise_matrix)
+    band = _noise_band(noise_matrix, Rm.shape[0])
     if band is not None:
-        if band.shape[0] != Rm.shape[0]:
-            raise DimensionError(
-                f"noise matrix rows {band.shape[0]} != regressor rows {Rm.shape[0]}"
-            )
         CL = C @ band
         mse = mse + CL @ CL.T
     mse = (mse + mse.T) / 2.0
@@ -417,9 +440,10 @@ def analyze_records(
         ],
         axis=1,
     )
+    matrices = _toeplitz(sums)
     return [
         RecordQuadratic(
-            matrix=toeplitz(sums[k]),
+            matrix=matrices[k],
             offset=float(bias[k] + sigma2 * noise_gain[k]),
             adversary="LS" if kernel is None else "RLS",
             estimator_map=estimator_map[k],

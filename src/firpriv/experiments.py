@@ -35,9 +35,8 @@ from .design import (
 )
 from .errors import ConfigError, ParameterError, RedrawBudgetError
 from .estimators import (
-    CONDITION_LIMIT,
     Kernel,
-    _condition_numbers,
+    _screened_inverse,
     analyze_records,
     ls_trace_quadratic,
     rls_trace_quadratic,
@@ -278,12 +277,11 @@ def _random_input_attack(
             n = int(n)
             R = _batched_regressors(r_block[idx, :n], n_h)
             gram = np.einsum("bij,bik->bjk", R, R)
-            good = _condition_numbers(gram) <= CONDITION_LIMIT
+            good, gram_inv = _screened_inverse(gram)
             failures += int(np.sum(~good))
             if not good.any():
                 continue
             R = R[good]
-            gram_inv = np.linalg.inv(gram[good])
             A = np.einsum("bij,bjk->bik", R, gram_inv)
             y = np.einsum("bij,j->bi", R, h)
             if ma_coeffs is not None:

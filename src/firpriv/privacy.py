@@ -11,15 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtri
 
 from .errors import AuditSizeError, ParameterError
 from .lti import _samples, build_regressor
 from .rng import stream
-
-#: Absolute accuracy of the Gaussian tail inverse.
-TAIL_INVERSE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class CoefficientBox:
@@ -122,33 +118,10 @@ def gaussian_upper_tail(x: float) -> float:
 
 
 def gaussian_tail_inverse(delta: float) -> float:
-    """Inverse of :func:`gaussian_upper_tail`, safeguarded Newton to 1e-12.
-
-    Bisection on a bracketing interval guards every Newton step, so the
-    result is trustworthy in the tails where a closed-form approximation
-    would silently lose accuracy.
-    """
+    """Inverse of :func:`gaussian_upper_tail`, accurate down to the smallest positive double."""
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
-    lo, hi = -40.0, 40.0  # gaussian_upper_tail(lo) ~ 1, (hi) ~ 0
-    x = 0.0
-    for _ in range(200):
-        f = gaussian_upper_tail(x) - delta
-        if f > 0:
-            lo = x
-        else:
-            hi = x
-        density = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        step_ok = density > 0.0
-        if step_ok:
-            x_new = x + f / density
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= TAIL_INVERSE_TOL and hi - lo <= 4.0 * TAIL_INVERSE_TOL:
-            return x_new
-        x = x_new
-    return x
+    return float(-ndtri(delta))
 
 
 def gaussian_noise_multiplier(epsilon: float, delta: float) -> float:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from firpriv import (
     ConditioningError,
     FirModel,
+    FirprivError,
     Kernel,
     ParameterError,
     SingularKernelError,
@@ -20,7 +22,14 @@ from firpriv import (
     rls_trace_quadratic,
     stable_spline_kernel,
 )
-from firpriv.estimators import CONDITION_LIMIT, _condition_numbers
+from firpriv.design import _batched_regressors
+from firpriv.estimators import (
+    CONDITION_LIMIT,
+    RESIDUAL_TOL,
+    _condition_numbers,
+    _screened_inverse,
+    _spd_solve,
+)
 from helpers import dense_error_matrix, kron_quadratic, random_regressor
 
 
@@ -381,6 +390,134 @@ class TestAnalyzeRecords:
         reg = build_regressor(np.arange(1.0, 11.0), 3)
         with pytest.raises(ParameterError):
             analyze_records(reg, 1.0, 2, spline_kernel(3))
+
+
+def scipy_spd_solve(mat, rhs):
+    """The refined Cholesky solve written with scipy's cho_factor/cho_solve wrappers."""
+    factor = cho_factor((mat + mat.T) / 2.0)
+    x = cho_solve(factor, rhs)
+    scale = max(np.sqrt(np.sum(rhs * rhs)), 1e-300)
+    for _ in range(3):
+        residual = rhs - mat @ x
+        if np.sqrt(np.sum(residual * residual)) <= RESIDUAL_TOL * scale:
+            return x
+        x = x + cho_solve(factor, residual)
+    return x
+
+
+class TestSpdSolve:
+    @pytest.mark.parametrize("n_h, n, log_cond", [(3, 20, 0), (9, 200, 0), (9, 2000, 0), (10, 60, 6)])
+    def test_matches_scipy_wrappers_bit_for_bit(self, n_h, n, log_cond):
+        rng = np.random.default_rng(40 + n_h + n)
+        q, _ = np.linalg.qr(rng.standard_normal((n_h, n_h)))
+        mat = (q * rng.uniform(1.0, 2.0, n_h) * np.logspace(0, log_cond, n_h)) @ q.T
+        # The two right-hand sides of the package: an identity (inverse) and
+        # the transposed regressor R' (the N columns of the RLS gain).
+        rt = build_regressor(rng.standard_normal(n), n_h).matrix.T
+        for rhs in (np.eye(n_h), rt):
+            np.testing.assert_array_equal(_spd_solve(mat, rhs), scipy_spd_solve(mat, rhs))
+
+    def test_indefinite_matrix_raises_typed_error(self):
+        mat = np.diag([2.0, 1.0, -1e-3])
+        with pytest.raises(ConditioningError) as excinfo:
+            _spd_solve(mat, np.eye(3))
+        assert isinstance(excinfo.value, FirprivError)
+        assert not isinstance(excinfo.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rhs_raises(self, bad):
+        rhs = np.eye(3)
+        rhs[1, 2] = bad
+        with pytest.raises(ConditioningError):
+            _spd_solve(np.diag([2.0, 1.0, 0.5]), rhs)
+
+    def test_overflowing_outputs_raise(self):
+        # R'y overflows to inf although the gram passes the condition test.
+        reg = build_regressor(np.random.default_rng(3).standard_normal(20), 3)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConditioningError):
+            ls_estimate(reg, np.full(20, 1e308))
+
+
+def regressor_grams(n_h, n, scaled, count=2000):
+    """Grams of random regressor stacks; ``scaled`` shrinks each first sample by 1e-7."""
+    rng = np.random.default_rng(1000 * n_h + 10 * n + scaled)
+    r = rng.standard_normal((count, n))
+    if scaled:
+        r[:, 0] *= 1e-7
+    reg = _batched_regressors(r, n_h)
+    return np.einsum("bij,bik->bjk", reg, reg)
+
+
+def near_limit_grams(n_h, count, seed):
+    """SPD matrices with condition numbers within 3e-4 of ``CONDITION_LIMIT``.
+
+    One eigenvalue is 1, one is about 1 / CONDITION_LIMIT and the rest sit
+    between, so the Frobenius product exceeds the condition number by only ~1e-11.
+    """
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((count, n_h, n_h)))
+    eigs = np.full((count, n_h), CONDITION_LIMIT**-0.5)
+    eigs[:, 0] = 1.0
+    eigs[:, -1] = (1.0 + rng.uniform(-3e-4, 3e-4, count)) / CONDITION_LIMIT
+    grams = np.einsum("bij,bj,bkj->bik", q, eigs, q)
+    return (grams + np.swapaxes(grams, 1, 2)) / 2.0
+
+
+class TestScreenedInverse:
+    def assert_decides_as_exact_test(self, grams):
+        good, inverses = _screened_inverse(grams)
+        exact = _condition_numbers(grams) <= CONDITION_LIMIT
+        np.testing.assert_array_equal(good, exact)
+        np.testing.assert_array_equal(inverses, np.linalg.inv(grams[exact]))
+        return exact
+
+    def test_regressor_stacks(self):
+        # n_h in {5, 9, 10} and N = n_h .. n_h + 4, with and without a tiny
+        # first sample.  The stacks reach every branch of a stack that inverts:
+        # records accepted by the screen, and records left to the exact test
+        # that it accepts or rejects.
+        screened = exact_accepts = exact_rejects = 0
+        for n_h in (5, 9, 10):
+            for n in range(n_h, n_h + 5):
+                for scaled in (False, True):
+                    grams = regressor_grams(n_h, n, scaled)
+                    exact = self.assert_decides_as_exact_test(grams)
+                    try:
+                        inverses = np.linalg.inv(grams)
+                    except np.linalg.LinAlgError:
+                        continue
+                    norms = np.linalg.norm(grams, axis=(1, 2)) * np.linalg.norm(inverses, axis=(1, 2))
+                    passes = norms <= CONDITION_LIMIT / 100
+                    screened += np.sum(passes)
+                    exact_accepts += np.sum(~passes & exact)
+                    exact_rejects += np.sum(~passes & ~exact)
+        assert min(screened, exact_accepts, exact_rejects) > 0
+
+    def test_rank_deficient_grams_take_the_exact_test(self):
+        # Rounding leaves the null eigenvalues of a rank-deficient Gram matrix
+        # tiny and of either sign; they must not pass the screen.
+        rng = np.random.default_rng(7)
+        low_rank = rng.standard_normal((200, 12, 7)) @ rng.standard_normal((200, 7, 9))
+        grams = np.concatenate(
+            [np.einsum("bij,bik->bjk", low_rank, low_rank), regressor_grams(9, 12, False, count=200)]
+        )
+        exact = self.assert_decides_as_exact_test(grams)
+        assert not exact[:200].any() and exact[200:].all()
+
+    def test_near_limit_grams_take_the_exact_test(self):
+        # Near the limit the computed inverse and eigenvalues are off by about
+        # 1e-4 relative, more than the Frobenius product exceeds the condition
+        # number; the screen's margin leaves these matrices to the exact test.
+        for n_h in (5, 9, 10):
+            self.assert_decides_as_exact_test(near_limit_grams(n_h, 500, n_h))
+
+    def test_singular_record_falls_back_to_exact_order(self):
+        grams = regressor_grams(9, 12, False, count=50)
+        grams[7] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(grams)
+        exact = self.assert_decides_as_exact_test(grams)
+        assert not exact[7] and exact.sum() == 49
 
 
 class TestStableSplineKernel:

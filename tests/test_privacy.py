@@ -141,6 +141,22 @@ class TestGaussianTail:
             x = gaussian_tail_inverse(delta)
             assert gaussian_upper_tail(x) == pytest.approx(delta, abs=1e-10 * max(delta, 1e-3))
 
+    @pytest.mark.parametrize("delta", [1e-100, 1e-300])
+    def test_far_tail_matches_erfc_oracle(self, delta):
+        # The oracle of acceptance criterion C8: bisection on mpmath's erfc.
+        def oracle_tail(x):
+            with mpmath.workdps(30):
+                return 0.5 * mpmath.erfc(x / mpmath.sqrt(2))
+
+        lo, hi = -40.0, 40.0
+        for _ in range(70):
+            mid = 0.5 * (lo + hi)
+            if oracle_tail(mid) > delta:
+                lo = mid
+            else:
+                hi = mid
+        assert gaussian_tail_inverse(delta) == pytest.approx(0.5 * (lo + hi), rel=1e-14)
+
     def test_median_is_zero(self):
         assert gaussian_tail_inverse(0.5) == pytest.approx(0.0, abs=1e-12)
 
