@@ -148,17 +148,24 @@ def _validate(pairs: dict) -> None:
     design = pairs["design_type"]
     if design not in DESIGN_TYPES:
         raise ConfigError(f"design_type must be one of {DESIGN_TYPES}, got {design!r}")
-    if design in ("output_capped", "input_capped", "output_random"):
-        _require(pairs, "gamma1", f"design_type = {design}")
-        _require(pairs, "noise_order", f"design_type = {design}")
-    if design == "output_weighted":
-        _require(pairs, "gamma2", "design_type = output_weighted")
-        _require(pairs, "noise_order", "design_type = output_weighted")
     if design in ("dp_laplace", "dp_gaussian"):
         for key in ("dp_epsilon", "dp_lower", "dp_upper"):
             _require(pairs, key, f"design_type = {design}")
-    if design == "dp_gaussian":
-        _require(pairs, "dp_delta", "design_type = dp_gaussian")
+        if design == "dp_gaussian":
+            _require(pairs, "dp_delta", "design_type = dp_gaussian")
+    else:
+        # A filter design: a variance cap gamma1 or, weighted, a weight gamma2.
+        budget = "gamma2" if design == "output_weighted" else "gamma1"
+        for key in (budget, "noise_order"):
+            _require(pairs, key, f"design_type = {design}")
+        sigma2 = pairs["sigma2"]
+        if not sigma2 > 0.0:
+            raise ConfigError(f"sigma2 must be > 0 for design_type = {design}, got {sigma2}")
+        if pairs["noise_order"] < 1:
+            raise ConfigError(f"noise_order must be >= 1, got {pairs['noise_order']}")
+        floor, floor_name = (0.0, "0") if budget == "gamma2" else (sigma2, f"sigma2 = {sigma2}")
+        if not pairs[budget] > floor:
+            raise ConfigError(f"{budget} = {pairs[budget]} must exceed {floor_name}")
     if design == "output_random" and kind != "random_model":
         raise ConfigError("design_type = output_random requires input_type = random_model")
     if design != "output_random" and kind == "random_model":

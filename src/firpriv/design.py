@@ -69,40 +69,6 @@ class DesignResult:
     predicted_ratio: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class DesignSpec:
-    """Declarative description of a design problem (used by the CLI harness)."""
-
-    channel: str  # "output" or "input"
-    adversary: str = "ls"  # "ls" or "rls"
-    gamma1: Optional[float] = None  # variance cap
-    gamma2: Optional[float] = None  # weighted-mode weight
-    n_l: int = 1
-    sigma2: float = 1.0
-    rls_eta: Optional[float] = None
-    rls_beta: Optional[float] = None
-
-    def __post_init__(self):
-        if self.channel not in ("output", "input"):
-            raise ParameterError(f"channel must be output or input, got {self.channel!r}")
-        if self.adversary not in ("ls", "rls"):
-            raise ParameterError(f"adversary must be ls or rls, got {self.adversary!r}")
-        if self.n_l < 1:
-            raise ParameterError(f"n_l must be >= 1, got {self.n_l}")
-        if not self.sigma2 > 0:
-            raise ParameterError(f"sigma2 must be > 0, got {self.sigma2}")
-        if (self.gamma1 is None) == (self.gamma2 is None):
-            raise ParameterError("exactly one of gamma1 (cap) or gamma2 (weight) is required")
-        if self.gamma1 is not None and self.gamma1 <= self.sigma2:
-            raise BudgetError(
-                f"variance cap gamma1={self.gamma1} must strictly exceed sigma2={self.sigma2}"
-            )
-        if self.gamma2 is not None and self.gamma2 <= 0:
-            raise ParameterError(f"gamma2 must be > 0, got {self.gamma2}")
-        if self.adversary == "rls" and (self.rls_eta is None or self.rls_beta is None):
-            raise ParameterError("rls adversary requires rls_eta and rls_beta")
-
-
 def _tie_break_sign(v: np.ndarray) -> np.ndarray:
     """Scale so the entry of largest magnitude is positive (ties: lowest index)."""
     idx = int(np.argmax(np.abs(v)))
@@ -233,8 +199,6 @@ def design_input_capped(
     problem whitens to an ordinary eigenproblem; the returned filter satisfies
     the cap with equality.
     """
-    if gamma1 <= sigma2:
-        raise BudgetError(f"gamma1={gamma1} must strictly exceed sigma2={sigma2}")
     h_vec = _samples(h)
     n_f = h_vec.size + n_l - 1
     reg = build_regressor(r, h_vec.size)
@@ -253,6 +217,8 @@ def _design_input(
     quad_f: TraceQuadratic, h_vec: np.ndarray, sigma2: float, gamma1: float, n_l: int
 ) -> DesignResult:
     """Input design from the record's quadratic in the filter ``conv(h, l)``."""
+    if gamma1 <= sigma2:
+        raise BudgetError(f"gamma1={gamma1} must strictly exceed sigma2={sigma2}")
     Hmat = convolution_matrix(h_vec, n_l)
     m_prime = Hmat.T @ quad_f.matrix @ Hmat
     gram = Hmat.T @ Hmat
@@ -331,13 +297,6 @@ class ExpectedTraceQuadratic(TraceQuadratic):
     samples: int = 0
 
 
-def _batched_regressors(r_block: np.ndarray, n_h: int) -> np.ndarray:
-    b, n = r_block.shape
-    padded = np.concatenate([np.zeros((b, n_h - 1)), r_block], axis=1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n_h, axis=1)
-    return windows[:, :, ::-1]
-
-
 def _draw_inputs(model: RandomInputModel, gen: np.random.Generator, count: int, n: int):
     if model.input_sampler is None:
         return gen.standard_normal((count, n))
@@ -389,7 +348,7 @@ def estimate_expected_quadratic(
         gen = stream(seed, "quad-inputs", i)
         r_block = _draw_inputs(model, gen, model.vartheta, n)
         while True:
-            R = _batched_regressors(r_block, n_h)
+            R = build_regressor(r_block, n_h).matrix
             gram = np.einsum("bij,bik->bjk", R, R)
             if adversary == "rls":
                 gram = gram + kernel.eta * kinv

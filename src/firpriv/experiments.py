@@ -24,9 +24,7 @@ import numpy as np
 from .config import ExperimentConfig, format_config
 from .design import (
     DesignResult,
-    DesignSpec,
     RandomInputModel,
-    _batched_regressors,
     _design_input,
     design_output_capped,
     design_output_random,
@@ -45,6 +43,7 @@ from .estimators import (
 from .lti import (
     FirModel,
     RationalFilter,
+    RegressorMatrix,
     build_filter_matrix,
     build_regressor,
     fir_truncate,
@@ -147,7 +146,10 @@ def _resolve_fixed_input(config: ExperimentConfig, seed: int) -> np.ndarray:
             generate_filtered_input(w, config.input_length, seed=seed).samples
         )
     if config.input_type == "file":
-        return np.loadtxt(config.input_file, dtype=float).ravel()
+        try:
+            return np.loadtxt(config.input_file, dtype=float).ravel()
+        except ValueError as exc:
+            raise ConfigError(f"input_file {config.input_file!r} is not numeric: {exc}") from exc
     raise ConfigError(f"input_type {config.input_type!r} has no fixed realization")
 
 
@@ -155,21 +157,6 @@ def _resolve_kernel(config: ExperimentConfig, n_h: int) -> Optional[Kernel]:
     if config.adversary != "rls":
         return None
     return Kernel(stable_spline_kernel(n_h, config.rls_beta), eta=config.rls_eta)
-
-
-def _design_spec(config: ExperimentConfig) -> DesignSpec:
-    """Validate and bundle the design parameters of a configuration."""
-    weighted = config.design_type == "output_weighted"
-    return DesignSpec(
-        channel="input" if config.design_type == "input_capped" else "output",
-        adversary=config.adversary,
-        gamma1=None if weighted else config.gamma1,
-        gamma2=config.gamma2 if weighted else None,
-        n_l=config.noise_order,
-        sigma2=config.sigma2,
-        rls_eta=config.rls_eta,
-        rls_beta=config.rls_beta,
-    )
 
 
 def _chunks(total: int):
@@ -185,9 +172,19 @@ def _run_chunks(worker, total: int, threads: Optional[int]):
     return [worker(*spec) for spec in plan]
 
 
+def _mean_and_se(parts):
+    """Mean squared error and its standard error from per-chunk ``(sum, sum of squares, count)``."""
+    total_sq = sum(p[0] for p in parts)
+    total_sq2 = sum(p[1] for p in parts)
+    count = sum(p[2] for p in parts)
+    mean = total_sq / count
+    var = max(total_sq2 / count - mean * mean, 0.0)
+    return mean, float(np.sqrt(var / count))
+
+
 def _fixed_input_attack(
     h: np.ndarray,
-    r: np.ndarray,
+    mean_y: np.ndarray,
     estimator_map: np.ndarray,
     ma_coeffs: Optional[np.ndarray],
     mech: Optional[DpMechanism],
@@ -198,14 +195,14 @@ def _fixed_input_attack(
 ):
     """Empirical error trace over repeated attacks on a fixed input record.
 
-    Every replicate draws fresh MA driving noise ``v``, mechanism noise and
-    measurement noise ``e`` and applies the estimator map E to its output
-    record.  The map is linear, so each noise channel is folded through E
-    once per attack: the error is ``(R h E - h) + v (L'E) + mech E + sigma e E``
-    with ``L'E`` from :meth:`BandedFilterMatrix.adjoint` in O(N*m*n_h).  The
-    draws are those of the output-domain form; the dense band is never built.
+    ``mean_y`` is the record's noiseless output ``R h``.  Every replicate
+    draws fresh MA driving noise ``v``, mechanism noise and measurement
+    noise ``e`` and applies the estimator map E to its output record.  The
+    map is linear, so each noise channel is folded through E once per
+    attack: the error is ``(R h E - h) + v (L'E) + mech E + sigma e E`` with
+    ``L'E`` from :meth:`BandedFilterMatrix.adjoint` in O(N*m*n_h).  The draws
+    are those of the output-domain form; the dense band is never built.
     """
-    mean_y = build_regressor(r, h.size).matrix @ h
     n = mean_y.size
     bias = mean_y @ estimator_map - h
     band_map = (
@@ -227,13 +224,7 @@ def _fixed_input_attack(
         sq = np.einsum("bj,bj->b", err, err)
         return float(sq.sum()), float((sq * sq).sum()), count
 
-    parts = _run_chunks(worker, replicates, threads)
-    total_sq = sum(p[0] for p in parts)
-    total_sq2 = sum(p[1] for p in parts)
-    count = sum(p[2] for p in parts)
-    mean = total_sq / count
-    var = max(total_sq2 / count - mean * mean, 0.0)
-    return mean, float(np.sqrt(var / count)), 0
+    return (*_mean_and_se(_run_chunks(worker, replicates, threads)), 0)
 
 
 def _random_input_attack(
@@ -245,15 +236,14 @@ def _random_input_attack(
     replicates: int,
     threads: Optional[int],
 ):
-    """Empirical error trace when each attack draws its own record length and input."""
+    """Empirical error trace when each attack draws its own record length and input.
+
+    The MA noise is the valid-mode convolution of each driving row with the filter.
+    """
     n_h = h.size
     max_len = int(model.lengths.max())
     m = ma_coeffs.size if ma_coeffs is not None else 1
     sigma = np.sqrt(sigma2)
-    bands = {
-        int(n): build_filter_matrix(ma_coeffs, int(n)).matrix.T if ma_coeffs is not None else None
-        for n in np.unique(model.lengths)
-    }
 
     def worker(chunk_idx: int, count: int):
         gen = stream(seed, "attack", chunk_idx)
@@ -275,7 +265,7 @@ def _random_input_attack(
         for n in np.unique(lengths):
             idx = np.flatnonzero(lengths == n)
             n = int(n)
-            R = _batched_regressors(r_block[idx, :n], n_h)
+            R = build_regressor(r_block[idx, :n], n_h).matrix
             gram = np.einsum("bij,bik->bjk", R, R)
             good, gram_inv = _screened_inverse(gram)
             failures += int(np.sum(~good))
@@ -285,7 +275,8 @@ def _random_input_attack(
             A = np.einsum("bij,bjk->bik", R, gram_inv)
             y = np.einsum("bij,j->bi", R, h)
             if ma_coeffs is not None:
-                y = y + v_block[idx[good], : n + m - 1] @ bands[n]
+                V = build_regressor(v_block[idx[good], : n + m - 1], m).matrix[:, m - 1 :]
+                y = y + np.einsum("bij,j->bi", V, ma_coeffs)
             if sigma > 0:
                 y = y + sigma * e_block[idx[good], :n]
             err = np.einsum("bij,bi->bj", A, y) - h
@@ -296,34 +287,27 @@ def _random_input_attack(
         return sum_sq, sum_sq2, used, failures
 
     parts = _run_chunks(worker, replicates, threads)
-    total_sq = sum(p[0] for p in parts)
-    total_sq2 = sum(p[1] for p in parts)
-    used = sum(p[2] for p in parts)
     failures = sum(p[3] for p in parts)
     if failures > FAILURE_BUDGET * replicates:
         raise RedrawBudgetError(
             f"{failures} of {replicates} attack replicates hit the conditioning limit"
         )
-    mean = total_sq / used
-    var = max(total_sq2 / used - mean * mean, 0.0)
-    return mean, float(np.sqrt(var / used)), failures
+    return (*_mean_and_se(parts), failures)
 
 
-def _design_fixed(config: ExperimentConfig, h: FirModel, r: np.ndarray):
+def _design_fixed(config: ExperimentConfig, h: FirModel, r: np.ndarray, reg: RegressorMatrix):
     """Design/calibrate for a fixed input; returns analytic quantities and noise.
 
-    The record is analyzed once: its trace quadratic also carries the
-    attack's estimator map, the bias and the noise gain.  The input design
-    needs the quadratic in the output-domain filter ``conv(h, l)``, which has
-    ``len(h) - 1`` more coefficients than ``l``.
+    The record ``r``, with regressor ``reg``, is analyzed once: its trace
+    quadratic also carries the attack's estimator map, the bias and the noise
+    gain.  The input design needs the quadratic in the output-domain filter
+    ``conv(h, l)``, which has ``len(h) - 1`` more coefficients than ``l``.
     """
-    reg = build_regressor(r, len(h))
     kernel = _resolve_kernel(config, len(h))
-    spec = None
-    n_l = 1
-    if config.design_type in ("output_capped", "output_weighted", "input_capped"):
-        spec = _design_spec(config)
-        n_l = spec.n_l + (len(h) - 1 if spec.channel == "input" else 0)
+    mechanism = config.design_type in ("dp_laplace", "dp_gaussian")
+    n_l = 1 if mechanism else config.noise_order
+    if config.design_type == "input_capped":
+        n_l += len(h) - 1
     if kernel is not None:
         quad = rls_trace_quadratic(reg, h, kernel, config.sigma2, n_l)
     else:
@@ -332,15 +316,15 @@ def _design_fixed(config: ExperimentConfig, h: FirModel, r: np.ndarray):
     design = None
     mech = None
     ma_coeffs = None
-    if spec is not None:
-        if spec.channel == "input":
-            design = _design_input(quad, h.coeffs, spec.sigma2, spec.gamma1, spec.n_l)
+    if not mechanism:
+        if config.design_type == "input_capped":
+            design = _design_input(quad, h.coeffs, config.sigma2, config.gamma1, config.noise_order)
             ma_coeffs = np.convolve(h.coeffs, design.l_star)
         else:
-            if spec.gamma1 is not None:
-                design = design_output_capped(quad, spec.sigma2, spec.gamma1)
+            if config.design_type == "output_capped":
+                design = design_output_capped(quad, config.sigma2, config.gamma1)
             else:
-                design = design_output_weighted(quad, spec.gamma2, sigma2=spec.sigma2)
+                design = design_output_weighted(quad, config.gamma2, sigma2=config.sigma2)
             ma_coeffs = design.l_star
         predicted = design.predicted_trace
         baseline = quad.bias + design.lambda_y * quad.noise_gain
@@ -370,7 +354,6 @@ def attack_simulation(
     h = _resolve_plant(config)
 
     if config.input_type == "random_model":
-        spec = _design_spec(config)
         model = RandomInputModel.uniform_gaussian(
             config.random_min_length,
             config.random_max_length,
@@ -378,21 +361,24 @@ def attack_simulation(
             config.random_vartheta,
         )
         quad = estimate_expected_quadratic(
-            model, len(h), spec.n_l, spec.sigma2, seed=derive(seed, "design")
+            model, len(h), config.noise_order, config.sigma2, seed=derive(seed, "design")
         )
-        design = design_output_random(quad, spec.sigma2, spec.gamma1)
+        design = design_output_random(quad, config.sigma2, config.gamma1)
         predicted = design.predicted_trace
-        baseline = design.lambda_y * quad.offset / spec.sigma2
+        baseline = design.lambda_y * quad.offset / config.sigma2
         empirical, se, failures = _random_input_attack(
-            h.coeffs, model, design.l_star, spec.sigma2,
+            h.coeffs, model, design.l_star, config.sigma2,
             derive(seed, "attack-designed"), config.replicates, threads,
         )
         mech = None
     else:
         r = _resolve_fixed_input(config, derive(seed, "input"))
-        design, mech, ma_coeffs, estimator_map, predicted, baseline = _design_fixed(config, h, r)
+        reg = build_regressor(r, len(h))
+        design, mech, ma_coeffs, estimator_map, predicted, baseline = _design_fixed(
+            config, h, r, reg
+        )
         empirical, se, failures = _fixed_input_attack(
-            h.coeffs, r, estimator_map, ma_coeffs, mech, config.sigma2,
+            h.coeffs, reg.matrix @ h.coeffs, estimator_map, ma_coeffs, mech, config.sigma2,
             derive(seed, "attack"), config.replicates, threads,
         )
 
@@ -446,7 +432,7 @@ def _deterministic_traces(seed: int, realizations: int, rls: bool):
         for k in range(realizations)
     ])
     quads = analyze_records(
-        _batched_regressors(records, len(h)), params["sigma2"], params["n_l"], kernel, h
+        build_regressor(records, len(h)), params["sigma2"], params["n_l"], kernel, h
     )
     designed = np.empty(realizations)
     baseline = np.empty(realizations)
@@ -580,6 +566,10 @@ def reproduce(
     ``out_dir`` set, one CSV per scenario is written; contents are a pure
     function of the arguments, so a fixed seed reproduces files byte for byte.
     """
+    if replicates < 1:
+        raise ParameterError(f"replicates must be >= 1, got {replicates}")
+    if realizations < 1:
+        raise ParameterError(f"realizations must be >= 1, got {realizations}")
     scenarios = {
         "deterministic": lambda: _reproduce_deterministic(seed, realizations),
         "rls": lambda: _reproduce_rls(seed, realizations),

@@ -38,7 +38,7 @@ def _as_vector(x, name: str) -> np.ndarray:
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+    out = np.array(arr, dtype=float, order="C")
     out.setflags(write=False)
     return out
 
@@ -127,23 +127,19 @@ class RegressorMatrix:
     """Lower-banded Toeplitz matrix R with ``R[t, j] = r_{t-j+1}`` (1-based).
 
     ``matrix @ h`` equals the zero-state response of the FIR system ``h`` to
-    the input the matrix was built from.
+    the input the matrix was built from.  For a stack of records ``matrix``
+    is (b, N, n_h), one such matrix per record.
     """
 
     matrix: np.ndarray
-    input_samples: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(self.matrix))
-        object.__setattr__(self, "input_samples", _readonly(self.input_samples))
 
     @property
     def n_samples(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-2]
 
     @property
     def n_coeffs(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -171,13 +167,9 @@ class BandedFilterMatrix:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        m = self.coeffs.size
-        mat = np.zeros((self.n_samples, self.n_samples + m - 1))
-        rev = self.coeffs[::-1]
-        for i in range(self.n_samples):
-            mat[i, i : i + m] = rev
-        mat.setflags(write=False)
-        return mat
+        # L is the transposed convolution operator of the reversed coefficients.
+        n = self.n_samples
+        return _readonly(_windows(self.coeffs[::-1], n, trailing=n - 1).T)
 
     def adjoint(self, x) -> np.ndarray:
         """``matrix.T @ x`` for an (N, k) block, by m shifted adds."""
@@ -236,21 +228,39 @@ def fir_truncate(g: RationalFilter, order: int, rel_tol: float = 1e-12):
     return model, float(tail)
 
 
-def build_regressor(r, n_h: int) -> RegressorMatrix:
-    """Build the N x n_h regressor matrix of an input record.
+def _windows(x: np.ndarray, width: int, trailing: int = 0) -> np.ndarray:
+    """Read-only view ``W[..., t, j] = x[..., t - j]``, zero outside ``x``.
 
+    ``t`` runs over ``x.shape[-1] + trailing`` rows and ``j`` over ``width``
+    columns: the first rows of the convolution operator of ``x``.  The view
+    is a sliding window over the zero-padded ``x``; no matrix is copied.
+    """
+    zeros = np.zeros(x.shape[:-1] + (width - 1,))
+    padded = np.concatenate([zeros, x, zeros[..., :trailing]], axis=-1)
+    return np.lib.stride_tricks.sliding_window_view(padded, width, axis=-1)[..., ::-1]
+
+
+def build_regressor(r, n_h: int) -> RegressorMatrix:
+    """Build the N x n_h regressor matrix of an input record, or a stack of them.
+
+    ``r`` is one record (N,) or a (b, N) stack of equal-length records,
+    giving an (N, n_h) or a (b, N, n_h) matrix.  Either way the matrix is a
+    read-only sliding-window view of the zero-padded records, not a copy.
     Requires ``N >= n_h`` so that the least-squares problem it feeds is not
     structurally underdetermined.
     """
-    samples = _samples(r)
-    n = samples.size
+    if np.ndim(r) == 2:
+        samples = np.asarray(r, dtype=float)
+        if not np.all(np.isfinite(samples)):
+            raise ParameterError("records contain non-finite entries")
+    else:
+        samples = _samples(r)
+    n = samples.shape[-1]
     if n_h < 1:
         raise ParameterError(f"n_h must be >= 1, got {n_h}")
     if n < n_h:
         raise DimensionError(f"need at least n_h={n_h} samples, got N={n}")
-    padded = np.concatenate([np.zeros(n_h - 1), samples])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n_h)
-    return RegressorMatrix(matrix=windows[:, ::-1].copy(), input_samples=samples)
+    return RegressorMatrix(matrix=_windows(samples, n_h))
 
 
 def build_filter_matrix(l, n_samples: int) -> BandedFilterMatrix:
@@ -273,12 +283,7 @@ def convolution_matrix(h, n_cols: int) -> np.ndarray:
     coeffs = _samples(h)
     if n_cols < 1:
         raise ParameterError(f"n_cols must be >= 1, got {n_cols}")
-    n_h = coeffs.size
-    n_rows = n_h + n_cols - 1
-    mat = np.zeros((n_rows, n_cols))
-    for j in range(n_cols):
-        mat[j : j + n_h, j] = coeffs
-    return mat
+    return _windows(coeffs, n_cols, trailing=n_cols - 1).copy()
 
 
 def _draw_white(gen: np.random.Generator, size: int, dist: str) -> np.ndarray:
@@ -329,8 +334,7 @@ def simulate(
     if sigma2 < 0:
         raise ParameterError(f"sigma2 must be >= 0, got {sigma2}")
     samples = _samples(r)
-    reg = build_regressor(samples, len(h))
-    y = reg.matrix @ h.coeffs
+    y = build_regressor(samples, len(h)).matrix @ h.coeffs
     n = samples.size
 
     if channel not in ("output", "input", "none"):

@@ -114,3 +114,49 @@ seed = 42
 """
         config = parse_config_text(text)
         assert parse_config_text(format_config(config)) == config
+
+
+class TestDesignChecks:
+    """Checks on the keys of the filter designs, each naming its key."""
+
+    def test_capped_budget_must_exceed_noise_floor(self):
+        with pytest.raises(ConfigError, match=r"gamma1 = 1.0 must exceed sigma2 = 1.0"):
+            parse_config_text(MINIMAL.replace("gamma1 = 2.0", "gamma1 = 1.0"))
+        config = parse_config_text(MINIMAL.replace("gamma1 = 2.0", "gamma1 = 1.1"))
+        assert config.gamma1 == 1.1
+
+    def test_exactly_one_budget_mode(self):
+        weighted = MINIMAL.replace("design_type = output_capped", "design_type = output_weighted")
+        with pytest.raises(ConfigError, match="missing required key 'gamma2'"):
+            parse_config_text(weighted)
+        with pytest.raises(ConfigError, match="missing required key 'gamma1'"):
+            parse_config_text(MINIMAL.replace("gamma1 = 2.0", "gamma2 = 0.5"))
+        config = parse_config_text(weighted.replace("gamma1 = 2.0", "gamma2 = 0.5"))
+        assert config.gamma2 == 0.5
+
+    def test_rls_requires_kernel_parameters(self):
+        with pytest.raises(ConfigError, match="rls_beta"):
+            parse_config_text(MINIMAL + "adversary = rls\nrls_eta = 0.1\n")
+
+    @pytest.mark.parametrize(
+        "design", ["output_capped", "output_weighted", "input_capped", "output_random"]
+    )
+    def test_filter_designs_need_measurement_noise(self, design):
+        text = MINIMAL.replace("design_type = output_capped", f"design_type = {design}")
+        text = text.replace("sigma2 = 1.0", "sigma2 = 0") + "gamma2 = 0.5\n"
+        if design == "output_random":
+            text = text.replace("input_type = filtered", "input_type = random_model")
+            text += "random_min_length = 10\nrandom_max_length = 20\n"
+            text += "random_theta = 2\nrandom_vartheta = 2\n"
+        with pytest.raises(ConfigError, match=f"sigma2 must be > 0 for design_type = {design}"):
+            parse_config_text(text)
+
+    def test_noise_order_at_least_one(self):
+        with pytest.raises(ConfigError, match="noise_order must be >= 1, got 0"):
+            parse_config_text(MINIMAL.replace("noise_order = 10", "noise_order = 0"))
+
+    def test_weight_must_be_positive(self):
+        text = MINIMAL.replace("design_type = output_capped", "design_type = output_weighted")
+        for bad in ("0", "-1"):
+            with pytest.raises(ConfigError, match=r"gamma2 = -?[01].0 must exceed 0"):
+                parse_config_text(text.replace("gamma1 = 2.0", f"gamma2 = {bad}"))

@@ -230,30 +230,6 @@ class TestDesignInputCapped:
         assert result.predicted_trace == pytest.approx(direct, rel=1e-9)
 
 
-class TestDesignSpec:
-    def test_capped_budget_must_exceed_noise_floor(self):
-        from firpriv import DesignSpec
-
-        with pytest.raises(BudgetError):
-            DesignSpec(channel="output", gamma1=0.5, n_l=3, sigma2=0.5)
-        spec = DesignSpec(channel="output", gamma1=0.6, n_l=3, sigma2=0.5)
-        assert spec.gamma1 == 0.6
-
-    def test_exactly_one_budget_mode(self):
-        from firpriv import DesignSpec
-
-        with pytest.raises(ParameterError):
-            DesignSpec(channel="output", gamma1=1.0, gamma2=1.0, n_l=3, sigma2=0.5)
-        with pytest.raises(ParameterError):
-            DesignSpec(channel="output", n_l=3, sigma2=0.5)
-
-    def test_rls_requires_kernel_parameters(self):
-        from firpriv import DesignSpec
-
-        with pytest.raises(ParameterError):
-            DesignSpec(channel="output", adversary="rls", gamma1=1.0, n_l=3, sigma2=0.5)
-
-
 class TestRandomInputModel:
     def test_probability_validation(self):
         with pytest.raises(ParameterError):

@@ -22,7 +22,6 @@ from firpriv import (
     rls_trace_quadratic,
     stable_spline_kernel,
 )
-from firpriv.design import _batched_regressors
 from firpriv.estimators import (
     CONDITION_LIMIT,
     RESIDUAL_TOL,
@@ -444,7 +443,7 @@ def regressor_grams(n_h, n, scaled, count=2000):
     r = rng.standard_normal((count, n))
     if scaled:
         r[:, 0] *= 1e-7
-    reg = _batched_regressors(r, n_h)
+    reg = build_regressor(r, n_h).matrix
     return np.einsum("bij,bik->bjk", reg, reg)
 
 

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from firpriv import (
+    ConfigError,
+    ParameterError,
     attack_simulation,
     build_filter_matrix,
     build_regressor,
     gaussian_mechanism,
     laplace_mechanism,
     ls_gram_inverse,
+    parse_config,
     parse_config_text,
     reproduce,
     stream,
@@ -177,7 +180,7 @@ class TestFixedInputAttack:
         sigma2 = 0.3 if channel.endswith("sigma2") else 0.0
         replicates = CHUNK + 100
         mean, se, failures = _fixed_input_attack(
-            h, r, estimator_map, ma, mech, sigma2, 9, replicates, threads=2
+            h, reg.matrix @ h, estimator_map, ma, mech, sigma2, 9, replicates, threads=2
         )
         ref_mean, ref_se = dense_band_attack(
             h, r, estimator_map, ma, mech, sigma2, 9, replicates
@@ -306,6 +309,35 @@ class TestCli:
         code = main(["dp-laplace", "--config", str(cfg)])
         assert code == 1
         assert "sigma2 must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--which", "random", "--replicates", "0"],
+         ["--which", "deterministic", "--realizations", "0"],
+         ["--which", "rls", "--realizations", "-1"]],
+    )
+    def test_reproduce_zero_counts_exit_code(self, flags, capsys):
+        assert main(["reproduce", "--seed", "0", *flags]) == 1
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_reproduce_zero_counts_raise(self):
+        with pytest.raises(ParameterError, match="replicates must be >= 1"):
+            reproduce(which="random", replicates=0)
+        with pytest.raises(ParameterError, match="realizations must be >= 1"):
+            reproduce(which="deterministic", realizations=-1)
+
+    def test_malformed_input_file_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "inputs.txt"
+        data.write_text("0.5\n1.5\nabc\n-0.25\n")
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(
+            DP_CONFIG.replace("input_type = white", f"input_type = file\ninput_file = {data}")
+            .replace("input_length = 64\n", "")
+        )
+        with pytest.raises(ConfigError, match="inputs.txt"):
+            attack_simulation(parse_config(cfg))
+        assert main(["dp-laplace", "--config", str(cfg)]) == 1
+        assert "inputs.txt" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

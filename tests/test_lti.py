@@ -121,6 +121,25 @@ class TestBuildRegressor:
                 expected = r[i - j] if i - j >= 0 else 0.0
                 assert reg.matrix[i, j] == expected
 
+    def test_stack_equals_single_builds_and_is_read_only(self):
+        records = np.random.default_rng(3).standard_normal((4, 12))
+        stack = build_regressor(records, 5)
+        assert stack.matrix.shape == (4, 12, 5)
+        assert (stack.n_samples, stack.n_coeffs) == (12, 5)
+        for k, record in enumerate(records):
+            single = build_regressor(record, 5)
+            np.testing.assert_array_equal(stack.matrix[k], single.matrix)
+            assert not single.matrix.flags.writeable
+        assert not stack.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            stack.matrix[0, 0, 0] = 1.0
+
+    def test_stack_rejects_non_finite_records(self):
+        records = np.ones((2, 6))
+        records[1, 3] = np.nan
+        with pytest.raises(ParameterError):
+            build_regressor(records, 2)
+
 
 class TestBuildFilterMatrix:
     def test_two_tap_pattern(self):
