@@ -122,7 +122,9 @@ def _cmd_design(args) -> int:
         )
     seed = _resolve_seed(args, config)
     # A single replicate keeps the design exact while skipping heavy simulation.
-    report = attack_simulation(replace(config, replicates=1), threads=1, seed=seed)
+    report = attack_simulation(
+        replace(config, replicates=1), threads=_resolve_threads(args), seed=seed
+    )
     pairs = _report_pairs(report)
     for key, value in pairs:
         print(f"{key} = {value}")

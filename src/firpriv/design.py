@@ -96,6 +96,12 @@ def _check_quadratic(quadratic: TraceQuadratic | tuple) -> TraceQuadratic:
     return quadratic
 
 
+def _check_sigma2(sigma2: float) -> None:
+    # The designs report rho = lambda_y / sigma2.
+    if not sigma2 > 0:
+        raise ParameterError(f"sigma2 must be > 0, got {sigma2}")
+
+
 def design_output_capped(quadratic, sigma2: float, gamma1: float) -> DesignResult:
     """Maximize the error trace over MA filters with total variance capped.
 
@@ -103,6 +109,7 @@ def design_output_capped(quadratic, sigma2: float, gamma1: float) -> DesignResul
     spends the whole budget: ``||l*||^2 = gamma1 - sigma2``.
     """
     quad = _check_quadratic(quadratic)
+    _check_sigma2(sigma2)
     if gamma1 <= sigma2:
         raise BudgetError(f"gamma1={gamma1} must strictly exceed sigma2={sigma2}")
     lam1, v1, degenerate = _top_eigenpair(quad.matrix)
@@ -143,6 +150,8 @@ def design_output_weighted(quadratic, gamma2: float, sigma2: Optional[float] = N
         raise ParameterError(f"gamma2 must be > 0, got {gamma2}")
     if quad.offset <= 0:
         raise ParameterError(f"quadratic offset must be > 0, got {quad.offset}")
+    if sigma2 is not None:
+        _check_sigma2(sigma2)
     lam1, v1, degenerate = _top_eigenpair(quad.matrix)
     c = quad.offset
     if lam1 <= gamma2 * c * c:
@@ -217,6 +226,7 @@ def _design_input(
     quad_f: TraceQuadratic, h_vec: np.ndarray, sigma2: float, gamma1: float, n_l: int
 ) -> DesignResult:
     """Input design from the record's quadratic in the filter ``conv(h, l)``."""
+    _check_sigma2(sigma2)
     if gamma1 <= sigma2:
         raise BudgetError(f"gamma1={gamma1} must strictly exceed sigma2={sigma2}")
     Hmat = convolution_matrix(h_vec, n_l)

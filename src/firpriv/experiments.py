@@ -46,8 +46,8 @@ from .lti import (
     RegressorMatrix,
     build_filter_matrix,
     build_regressor,
-    fir_truncate,
     generate_filtered_input,
+    impulse_response,
 )
 from .privacy import (
     CoefficientBox,
@@ -125,16 +125,14 @@ def _fmt(value: float) -> str:
 def reference_plant() -> FirModel:
     """FIR truncation of the reference rational plant used by the bundled scenarios."""
     g = RationalFilter(np.array(REFERENCE_PLANT_NUM), np.array(REFERENCE_PLANT_DEN))
-    model, _ = fir_truncate(g, REFERENCE_FIR_ORDER)
-    return model
+    return FirModel(impulse_response(g, REFERENCE_FIR_ORDER))
 
 
 def _resolve_plant(config: ExperimentConfig) -> FirModel:
     if config.plant_type == "fir":
         return FirModel(np.asarray(config.plant_coeffs))
     g = RationalFilter(np.asarray(config.plant_num), np.asarray(config.plant_den))
-    model, _ = fir_truncate(g, config.plant_fir_order)
-    return model
+    return FirModel(impulse_response(g, config.plant_fir_order))
 
 
 def _resolve_fixed_input(config: ExperimentConfig, seed: int) -> np.ndarray:
@@ -161,6 +159,11 @@ def _resolve_kernel(config: ExperimentConfig, n_h: int) -> Optional[Kernel]:
 
 def _chunks(total: int):
     return [(idx, min(CHUNK, total - idx * CHUNK)) for idx in range((total + CHUNK - 1) // CHUNK)]
+
+
+def _check_threads(threads: Optional[int]) -> None:
+    if threads is not None and threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
 
 
 def _run_chunks(worker, total: int, threads: Optional[int]):
@@ -350,6 +353,7 @@ def attack_simulation(
     filter designs and the no-privacy error for the mechanism calibrations.
     """
     start = time.perf_counter()
+    _check_threads(threads)
     seed = config.seed if seed is None else seed
     h = _resolve_plant(config)
 
@@ -570,6 +574,7 @@ def reproduce(
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
     if realizations < 1:
         raise ParameterError(f"realizations must be >= 1, got {realizations}")
+    _check_threads(threads)
     scenarios = {
         "deterministic": lambda: _reproduce_deterministic(seed, realizations),
         "rls": lambda: _reproduce_rls(seed, realizations),

@@ -15,7 +15,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DimensionError, ParameterError, StabilityError
 from .rng import stream
@@ -184,6 +183,56 @@ class BandedFilterMatrix:
         return out
 
 
+def _lfilter(num, den, x, zi=None):
+    """Filter ``x`` by ``num / den`` in direct form II transposed.
+
+    Follows the operation order of scipy's ``lfilter`` for float64 data, so
+    the results are the same bit for bit.  Both coefficient vectors are
+    divided by ``den[0]`` and the shorter is zero-padded to length m; then,
+    per sample, ``y = z[0] + b[0]*x``, ``z[k] = (z[k+1] + x*b[k+1]) - y*a[k+1]``
+    and ``z[m-2] = x*b[m-1] - y*a[m-1]``.  A one-entry ``den`` takes scipy's
+    convolution path instead.  ``zi`` is the initial state, of length m-1;
+    when it is given the final state is returned too, as ``(y, zf)``.
+    """
+    b = np.asarray(num, dtype=float)
+    a = np.asarray(den, dtype=float)
+    x = np.asarray(x, dtype=float)
+    m = max(a.size, b.size)
+    if a.size == 1:
+        full = np.convolve(b / a[0], x)
+        if zi is None:
+            return full[: x.size]
+        full[: m - 1] += zi
+        return full[: x.size], full[x.size :]
+
+    a0 = a[0]
+    b = (np.concatenate([b, np.zeros(m - b.size)]) / a0).tolist()
+    a = (np.concatenate([a, np.zeros(m - a.size)]) / a0).tolist()
+    z = [0.0] * (m - 1) if zi is None else np.asarray(zi, dtype=float).tolist()
+    out = []
+    append = out.append
+    b0 = b[0]
+    if m == 2:
+        # First order: every AR(1) input record takes this loop.
+        b1, a1 = b[1], a[1]
+        state = z[0]
+        for xk in x.tolist():
+            yk = state + b0 * xk
+            state = xk * b1 - yk * a1
+            append(yk)
+        z[0] = state
+    else:
+        last = m - 2
+        for xk in x.tolist():
+            yk = z[0] + b0 * xk
+            for k in range(last):
+                z[k] = (z[k + 1] + xk * b[k + 1]) - yk * a[k + 1]
+            z[last] = xk * b[m - 1] - yk * a[m - 1]
+            append(yk)
+    y = np.array(out, dtype=float)
+    return y if zi is None else (y, np.array(z, dtype=float))
+
+
 def impulse_response(g: RationalFilter, n: int) -> np.ndarray:
     """First ``n`` samples of the zero-state response of ``g`` to a unit impulse.
 
@@ -194,7 +243,7 @@ def impulse_response(g: RationalFilter, n: int) -> np.ndarray:
         raise ParameterError(f"n must be >= 1, got {n}")
     pulse = np.zeros(n)
     pulse[0] = 1.0
-    return lfilter(g.numerator, g.denominator, pulse)
+    return _lfilter(g.numerator, g.denominator, pulse)
 
 
 def fir_truncate(g: RationalFilter, order: int, rel_tol: float = 1e-12):
@@ -216,11 +265,11 @@ def fir_truncate(g: RationalFilter, order: int, rel_tol: float = 1e-12):
     if state_size > 0:
         pulse = np.zeros(order)
         pulse[0] = 1.0
-        _, state = lfilter(g.numerator, g.denominator, pulse, zi=np.zeros(state_size))
+        _, state = _lfilter(g.numerator, g.denominator, pulse, zi=np.zeros(state_size))
         chunk = 256
         zeros = np.zeros(chunk)
         for _ in range(10**6 // chunk + 1):
-            block, state = lfilter(g.numerator, g.denominator, zeros, zi=state)
+            block, state = _lfilter(g.numerator, g.denominator, zeros, zi=state)
             increment = np.sum(np.abs(block))
             tail += increment
             if increment <= rel_tol * max(tail, np.sum(np.abs(full)), 1e-300):
@@ -357,5 +406,5 @@ def generate_filtered_input(w_filter: RationalFilter, n_samples: int, seed: int 
     if n_samples < 1:
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
     white = stream(seed, "input-white").standard_normal(n_samples)
-    shaped = lfilter(w_filter.numerator, w_filter.denominator, white)
+    shaped = _lfilter(w_filter.numerator, w_filter.denominator, white)
     return SignalSeq(shaped, label="r")

@@ -161,6 +161,31 @@ class TestDesignOutputWeighted:
             design_output_weighted(TraceQuadratic(matrix=np.eye(2), offset=1.0), gamma2=0.0)
 
 
+class TestNonpositiveSigma2:
+    """Every variance-capped or weighted design reports rho = lambda_y / sigma2."""
+
+    QUAD = TraceQuadratic(matrix=np.eye(2), offset=1.0)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -0.1])
+    def test_output_designs_raise_parameter_error(self, sigma2):
+        with pytest.raises(ParameterError, match="sigma2"):
+            design_output_capped(self.QUAD, sigma2, 1.0)
+        with pytest.raises(ParameterError, match="sigma2"):
+            design_output_random(self.QUAD, sigma2, 1.0)
+        with pytest.raises(ParameterError, match="sigma2"):
+            design_output_weighted(self.QUAD, 0.1, sigma2=sigma2)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -0.1])
+    def test_input_design_raises_parameter_error(self, sigma2):
+        r = random_regressor(np.random.default_rng(9), 30, 1)[:, 0]
+        with pytest.raises(ParameterError, match="sigma2"):
+            design_input_capped(r, FirModel([1.0, 0.5]), sigma2, 1.0, n_l=3)
+
+    def test_weighted_design_without_sigma2_still_runs(self):
+        result = design_output_weighted(self.QUAD, 0.1)
+        assert np.isnan(result.rho)
+
+
 class TestDesignInputCapped:
     def test_identity_plant_reduces_to_output_design(self):
         rng = np.random.default_rng(7)

@@ -201,6 +201,25 @@ class TestFixedInputAttack:
         assert abs(report.empirical_trace - report.predicted_trace) <= 3 * report.empirical_se
 
 
+class TestThreadCount:
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_library_rejects_fewer_than_one(self, threads):
+        config = parse_config_text(DP_CONFIG.replace("replicates = 30000", "replicates = 100"))
+        with pytest.raises(ParameterError, match="threads"):
+            attack_simulation(config, threads=threads)
+        with pytest.raises(ParameterError, match="threads"):
+            reproduce(which="deterministic", realizations=1, threads=threads)
+
+    @pytest.mark.parametrize("command", ["simulate", "dp-laplace"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_cli_exits_one(self, threads, command, tmp_path, capsys):
+        cfg = tmp_path / "dp.cfg"
+        cfg.write_text(DP_CONFIG.replace("replicates = 30000", "replicates = 100"))
+        code = main([command, "--config", str(cfg), "--threads", threads])
+        assert code == 1
+        assert "threads" in capsys.readouterr().err
+
+
 class TestReproduce:
     def test_deterministic_scenario_passes(self):
         rows = reproduce(which="deterministic", seed=0, realizations=50)

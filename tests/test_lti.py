@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+import firpriv
 from firpriv import (
     DimensionError,
     FirModel,
@@ -17,6 +23,7 @@ from firpriv import (
     simulate,
     stream,
 )
+from firpriv.lti import _lfilter
 from helpers import ma_convolve, zero_state_convolution
 
 # Reference second-order plant used across the suite (delay-free form).
@@ -363,3 +370,79 @@ class TestSignalSeq:
             SignalSeq([1.0, np.nan])
         with pytest.raises(ParameterError):
             FirModel([np.inf])
+
+
+class TestLfilterMatchesScipy:
+    """``lti._lfilter`` against ``scipy.signal.lfilter``, bit for bit."""
+
+    LENGTHS = (1, 2, 3, 5, 17, 64, 300)
+
+    @staticmethod
+    def _coeffs(rng, nb, na):
+        num = rng.standard_normal(nb)
+        den = np.concatenate([[rng.uniform(0.5, 2.0)], 0.4 * rng.standard_normal(na - 1) / na])
+        return num, den
+
+    @pytest.mark.parametrize("na", [1, 2, 3, 4])
+    @pytest.mark.parametrize("nb", [1, 2, 3, 4])
+    def test_zero_state(self, nb, na):
+        rng = np.random.default_rng(100 * nb + na)
+        for n in self.LENGTHS:
+            num, den = self._coeffs(rng, nb, na)
+            x = rng.standard_normal(n)
+            assert np.array_equal(_lfilter(num, den, x), lfilter(num, den, x))
+
+    @pytest.mark.parametrize("na", [1, 2, 3, 4])
+    @pytest.mark.parametrize("nb", [1, 2, 3, 4])
+    def test_initial_and_final_state(self, nb, na):
+        rng = np.random.default_rng(1000 + 100 * nb + na)
+        for n in self.LENGTHS:
+            num, den = self._coeffs(rng, nb, na)
+            x = rng.standard_normal(n)
+            zi = rng.standard_normal(max(nb, na) - 1)
+            y, zf = _lfilter(num, den, x, zi=zi)
+            y_ref, zf_ref = lfilter(num, den, x, zi=zi)
+            assert np.array_equal(y, y_ref)
+            assert np.array_equal(zf, zf_ref)
+
+    def test_unit_denominator_every_length(self):
+        rng = np.random.default_rng(7)
+        num = rng.standard_normal(4)
+        for n in range(1, 301):
+            x = rng.standard_normal(n)
+            assert np.array_equal(_lfilter(num, [1.0], x), lfilter(num, [1.0], x))
+
+    def test_first_order_every_length(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 301):
+            x = rng.standard_normal(n)
+            zi = rng.standard_normal(1)
+            y, zf = _lfilter([1.0, 0.3], [1.0, -0.95], x, zi=zi)
+            y_ref, zf_ref = lfilter([1.0, 0.3], [1.0, -0.95], x, zi=zi)
+            assert np.array_equal(y, y_ref) and np.array_equal(zf, zf_ref)
+
+    def test_public_filters_match_scipy_oracle(self):
+        g = reference_filter()
+        pulse = np.zeros(40)
+        pulse[0] = 1.0
+        oracle = lfilter(REF_NUM, REF_DEN, pulse)
+        assert np.array_equal(impulse_response(g, 40), oracle)
+        model, _ = fir_truncate(g, 40)
+        assert np.array_equal(model.coeffs, oracle)
+        for num, den in (([1.0], [1.0, -0.95]), (REF_NUM, REF_DEN)):
+            out = generate_filtered_input(RationalFilter(num, den), 2000, seed=4)
+            white = stream(4, "input-white").standard_normal(2000)
+            assert np.array_equal(out.samples, lfilter(num, den, white))
+
+
+def test_cli_import_skips_scipy_signal_and_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(firpriv.__file__)))
+    code = (
+        "import sys, firpriv.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
