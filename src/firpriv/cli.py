@@ -13,7 +13,7 @@ from dataclasses import replace
 from . import experiments
 from .config import parse_config
 from .errors import ConfigError, FirprivError
-from .experiments import attack_simulation, reproduce, rows_to_csv
+from .experiments import _write_csv, attack_simulation, reproduce, rows_to_csv
 
 _DESIGN_COMMANDS = {
     "design-output": "output_capped",
@@ -74,16 +74,6 @@ def _resolve_threads(args) -> int:
     return args.threads if args.threads is not None else (os.cpu_count() or 1)
 
 
-def _write_summary(out_dir: str, name: str, pairs):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{name}.csv")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("name,value\n")
-        for key, value in pairs:
-            handle.write(f"{key},{value}\n")
-    return path
-
-
 def _report_pairs(report: experiments.ExperimentReport):
     pairs = []
     if report.design is not None:
@@ -113,43 +103,37 @@ def _report_pairs(report: experiments.ExperimentReport):
     return pairs
 
 
-def _cmd_design(args) -> int:
+def _cmd_run(args) -> int:
+    """A design command or ``simulate``: one attack simulation from a config file."""
     config = parse_config(args.config)
-    expected = _DESIGN_COMMANDS[args.command]
-    if config.design_type != expected:
-        raise ConfigError(
-            f"{args.command} requires design_type = {expected}, config has {config.design_type!r}"
-        )
-    seed = _resolve_seed(args, config)
-    # A single replicate keeps the design exact while skipping heavy simulation.
+    simulate = args.command == "simulate"
+    if not simulate:
+        expected = _DESIGN_COMMANDS[args.command]
+        if config.design_type != expected:
+            raise ConfigError(
+                f"{args.command} requires design_type = {expected}, "
+                f"config has {config.design_type!r}"
+            )
+        # A single replicate keeps the design exact while skipping heavy simulation.
+        config = replace(config, replicates=1)
     report = attack_simulation(
-        replace(config, replicates=1), threads=_resolve_threads(args), seed=seed
+        config, threads=_resolve_threads(args), seed=_resolve_seed(args, config)
     )
     pairs = _report_pairs(report)
+    if simulate:
+        pairs += [
+            ("empirical_trace", f"{report.empirical_trace:.12g}"),
+            ("empirical_se", f"{report.empirical_se:.12g}"),
+            ("replicates", str(report.replicates)),
+            ("failures", str(report.failures)),
+        ]
     for key, value in pairs:
         print(f"{key} = {value}")
+    if simulate:
+        print(f"runtime_s = {report.runtime_s:.3f}")
     if args.out_dir:
-        path = _write_summary(args.out_dir, args.command.replace("-", "_"), pairs)
-        print(f"report written to {path}")
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    config = parse_config(args.config)
-    seed = _resolve_seed(args, config)
-    report = attack_simulation(config, threads=_resolve_threads(args), seed=seed)
-    pairs = _report_pairs(report)
-    pairs += [
-        ("empirical_trace", f"{report.empirical_trace:.12g}"),
-        ("empirical_se", f"{report.empirical_se:.12g}"),
-        ("replicates", str(report.replicates)),
-        ("failures", str(report.failures)),
-    ]
-    for key, value in pairs:
-        print(f"{key} = {value}")
-    print(f"runtime_s = {report.runtime_s:.3f}")
-    if args.out_dir:
-        path = _write_summary(args.out_dir, "simulate", pairs)
+        text = "name,value\n" + "".join(f"{key},{value}\n" for key, value in pairs)
+        path = _write_csv(args.out_dir, args.command.replace("-", "_"), text)
         print(f"report written to {path}")
     return 0
 
@@ -181,11 +165,9 @@ def _cmd_reproduce(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in _DESIGN_COMMANDS:
-            return _cmd_design(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_reproduce(args)
+        if args.command == "reproduce":
+            return _cmd_reproduce(args)
+        return _cmd_run(args)
     except FirprivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

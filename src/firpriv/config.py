@@ -8,6 +8,7 @@ typo tolerance.
 from __future__ import annotations
 
 import os
+import typing
 from dataclasses import dataclass, fields
 from typing import List, Optional
 
@@ -24,38 +25,6 @@ DESIGN_TYPES = (
     "dp_gaussian",
 )
 ADVERSARIES = ("ls", "rls")
-
-_SCHEMA = {
-    "plant_type": str,
-    "plant_coeffs": list,
-    "plant_num": list,
-    "plant_den": list,
-    "plant_fir_order": int,
-    "input_type": str,
-    "input_length": int,
-    "input_filter_num": list,
-    "input_filter_den": list,
-    "input_file": str,
-    "random_min_length": int,
-    "random_max_length": int,
-    "random_theta": int,
-    "random_vartheta": int,
-    "design_type": str,
-    "adversary": str,
-    "rls_eta": float,
-    "rls_beta": float,
-    "noise_order": int,
-    "sigma2": float,
-    "gamma1": float,
-    "gamma2": float,
-    "dp_epsilon": float,
-    "dp_delta": float,
-    "dp_lower": float,
-    "dp_upper": float,
-    "replicates": int,
-    "seed": int,
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -89,6 +58,19 @@ class ExperimentConfig:
     dp_upper: Optional[float] = None
     replicates: int = 100_000
     seed: int = 0
+
+
+def _key_type(hint):
+    """Parse target of a field's type: ``Optional`` unwrapped, ``List[float]`` as ``list``."""
+    if typing.get_origin(hint) is typing.Union:
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    return list if typing.get_origin(hint) is list else hint
+
+
+#: Every config key and the type its value parses to, one per field of ExperimentConfig.
+_SCHEMA = {
+    name: _key_type(hint) for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
 
 
 def _parse_scalar(raw: str, target, key: str, line: int):
@@ -175,6 +157,9 @@ def _validate(pairs: dict) -> None:
     if adversary not in ADVERSARIES:
         raise ConfigError(f"adversary must be one of {ADVERSARIES}, got {adversary!r}")
     if adversary == "rls":
+        if design == "output_random":
+            # The random-input design and its attack are plain least squares.
+            raise ConfigError("adversary = rls is not supported with design_type = output_random")
         for key in ("rls_eta", "rls_beta"):
             _require(pairs, key, "adversary = rls")
 

@@ -28,6 +28,7 @@ from .errors import (
     RedrawBudgetError,
 )
 from .estimators import (
+    FAILURE_BUDGET,
     Kernel,
     TraceQuadratic,
     _kernel_inverse,
@@ -86,10 +87,7 @@ def _top_eigenpair(mat: np.ndarray):
     return lam1, v1, degenerate
 
 
-def _check_quadratic(quadratic: TraceQuadratic | tuple) -> TraceQuadratic:
-    if isinstance(quadratic, tuple):
-        quadratic = TraceQuadratic(matrix=np.asarray(quadratic[0], dtype=float),
-                                   offset=float(quadratic[1]))
+def _check_quadratic(quadratic: TraceQuadratic) -> TraceQuadratic:
     mat = np.asarray(quadratic.matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"quadratic matrix must be square, got shape {mat.shape}")
@@ -178,7 +176,7 @@ def design_output_weighted(quadratic, gamma2: float, sigma2: Optional[float] = N
     )
 
 
-def _gram_roots(gram: np.ndarray):
+def _gram_inv_sqrt(gram: np.ndarray) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh((gram + gram.T) / 2.0)
     top = float(eigvals[-1])
     if top <= 0 or float(eigvals[0]) <= GRAM_RANK_TOL * top:
@@ -187,9 +185,7 @@ def _gram_roots(gram: np.ndarray):
             f"(min/max eigenvalue ratio {eigvals[0] / max(top, 1e-300):.3e})"
         )
     clipped = np.maximum(eigvals, 1e-12 * top)
-    sqrt_ = (eigvecs * np.sqrt(clipped)) @ eigvecs.T
-    inv_sqrt = (eigvecs / np.sqrt(clipped)) @ eigvecs.T
-    return sqrt_, inv_sqrt
+    return (eigvecs / np.sqrt(clipped)) @ eigvecs.T
 
 
 def design_input_capped(
@@ -198,7 +194,6 @@ def design_input_capped(
     sigma2: float,
     gamma1: float,
     n_l: int,
-    adversary: str = "ls",
     kernel: Optional[Kernel] = None,
 ) -> DesignResult:
     """Variance-capped design for noise injected at the plant input.
@@ -206,19 +201,16 @@ def design_input_capped(
     The filter's output-variance contribution is ``||conv(h, l)||^2``, so the
     cap constrains ``l' H'H l`` with H the plant's convolution matrix.  The
     problem whitens to an ordinary eigenproblem; the returned filter satisfies
-    the cap with equality.
+    the cap with equality.  The adversary is plain LS, or the regularized
+    estimator when a ``kernel`` is given.
     """
     h_vec = _samples(h)
     n_f = h_vec.size + n_l - 1
     reg = build_regressor(r, h_vec.size)
-    if adversary == "rls":
-        if kernel is None:
-            raise ParameterError("rls adversary requires a kernel")
-        quad_f = rls_trace_quadratic(reg, h_vec, kernel, sigma2, n_f)
-    elif adversary == "ls":
+    if kernel is None:
         quad_f = ls_trace_quadratic(reg, sigma2, n_f)
     else:
-        raise ParameterError(f"adversary must be ls or rls, got {adversary!r}")
+        quad_f = rls_trace_quadratic(reg, h_vec, kernel, sigma2, n_f)
     return _design_input(quad_f, h_vec, sigma2, gamma1, n_l)
 
 
@@ -231,8 +223,7 @@ def _design_input(
         raise BudgetError(f"gamma1={gamma1} must strictly exceed sigma2={sigma2}")
     Hmat = convolution_matrix(h_vec, n_l)
     m_prime = Hmat.T @ quad_f.matrix @ Hmat
-    gram = Hmat.T @ Hmat
-    sqrt_, inv_sqrt = _gram_roots(gram)
+    inv_sqrt = _gram_inv_sqrt(Hmat.T @ Hmat)
     whitened = inv_sqrt @ m_prime @ inv_sqrt
     lam1, eta, degenerate = _top_eigenpair(whitened)
     if lam1 <= 0.0:
@@ -319,17 +310,17 @@ def estimate_expected_quadratic(
     n_l: int,
     sigma2: float,
     seed: int = 0,
-    adversary: str = "ls",
     kernel: Optional[Kernel] = None,
     h_true=None,
-    max_redraw_fraction: float = 0.01,
 ) -> ExpectedTraceQuadratic:
     """Monte Carlo estimate of the expected trace quadratic (matrix and offset).
 
     Averages the per-instance quadratic over ``theta`` record-length draws and
-    ``vartheta`` input draws per length.  Ill-conditioned instances (condition
-    estimate above the solver limit) are redrawn; the run aborts if redraws
-    exceed ``max_redraw_fraction`` of the sample budget.
+    ``vartheta`` input draws per length.  The adversary is plain LS, or the
+    regularized estimator when a ``kernel`` is given, whose bias needs
+    ``h_true``.  Ill-conditioned instances (condition estimate above the
+    solver limit) are redrawn; the run aborts if redraws exceed
+    ``FAILURE_BUDGET`` of the sample budget.
     """
     if n_l < 1:
         raise ParameterError(f"n_l must be >= 1, got {n_l}")
@@ -337,16 +328,14 @@ def estimate_expected_quadratic(
         raise ParameterError(
             f"all support lengths must be >= n_h={n_h}, min is {int(model.lengths.min())}"
         )
-    if adversary == "rls":
-        if kernel is None or h_true is None:
-            raise ParameterError("rls adversary requires kernel and h_true")
+    if kernel is not None:
+        if h_true is None:
+            raise ParameterError("the regularized adversary requires h_true")
         kinv = _kernel_inverse(kernel, allow_singular=False)
         h_vec = _samples(h_true)
-    elif adversary != "ls":
-        raise ParameterError(f"adversary must be ls or rls, got {adversary!r}")
 
     total = model.theta * model.vartheta
-    redraw_budget = max_redraw_fraction * total
+    redraw_budget = FAILURE_BUDGET * total
     diag_acc = np.zeros(n_l)
     offset_acc = 0.0
     redraws = 0
@@ -360,7 +349,7 @@ def estimate_expected_quadratic(
         while True:
             R = build_regressor(r_block, n_h).matrix
             gram = np.einsum("bij,bik->bjk", R, R)
-            if adversary == "rls":
+            if kernel is not None:
                 gram = gram + kernel.eta * kinv
             good, gram_inv = _screened_inverse(gram)
             bad = ~good
@@ -370,10 +359,10 @@ def estimate_expected_quadratic(
             if redraws > redraw_budget:
                 raise RedrawBudgetError(
                     f"{redraws} ill-conditioned replicates exceed the redraw budget "
-                    f"({max_redraw_fraction:.1%} of {total})"
+                    f"({FAILURE_BUDGET:.1%} of {total})"
                 )
             r_block[bad] = _draw_inputs(model, gen, int(bad.sum()), n)
-        if adversary == "ls":
+        if kernel is None:
             A = np.einsum("bij,bjk->bik", R, gram_inv)  # rows of E = A A'
             offset_acc += sigma2 * np.einsum("bii->", gram_inv)
         else:
@@ -390,7 +379,7 @@ def estimate_expected_quadratic(
     return ExpectedTraceQuadratic(
         matrix=matrix,
         offset=float(offset_acc / total),
-        adversary="RLS" if adversary == "rls" else "LS",
+        adversary="LS" if kernel is None else "RLS",
         redraws=redraws,
         samples=total,
     )
@@ -403,7 +392,6 @@ def design_output_random(quadratic, sigma2: float, gamma1: float) -> DesignResul
     expected error trace with and without masking noise:
     ``1 + lam1 * (gamma1 - sigma2) / offset``.
     """
-    quad = _check_quadratic(quadratic)
-    result = design_output_capped(quad, sigma2, gamma1)
-    ratio = 1.0 + result.top_eigenvalue * (gamma1 - sigma2) / quad.offset
+    result = design_output_capped(quadratic, sigma2, gamma1)
+    ratio = 1.0 + result.top_eigenvalue * (gamma1 - sigma2) / quadratic.offset
     return replace(result, predicted_ratio=ratio)

@@ -21,6 +21,9 @@ from .lti import BandedFilterMatrix, FirModel, RegressorMatrix, _samples
 #: Solves are rejected when the normal-equation condition estimate exceeds this.
 CONDITION_LIMIT = 1e12
 
+#: Largest fraction of a Monte Carlo run's random instances that may fail ``CONDITION_LIMIT``.
+FAILURE_BUDGET = 0.01
+
 #: Largest acceptable relative residual of an accepted linear solve.
 RESIDUAL_TOL = 1e-10
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import ExperimentConfig, format_config
+from .config import ExperimentConfig
 from .design import (
     DesignResult,
     RandomInputModel,
@@ -33,6 +34,7 @@ from .design import (
 )
 from .errors import ConfigError, ParameterError, RedrawBudgetError
 from .estimators import (
+    FAILURE_BUDGET,
     Kernel,
     _screened_inverse,
     analyze_records,
@@ -62,9 +64,6 @@ from .rng import derive, stream
 
 #: Replicates per Monte Carlo work unit; fixed so results do not depend on threads.
 CHUNK = 8192
-
-#: Abort threshold on the fraction of attack replicates lost to conditioning.
-FAILURE_BUDGET = 0.01
 
 # Reference scenario parameters (shared by `reproduce` and the acceptance suite).
 REFERENCE_PLANT_NUM = (1.0, -0.2)
@@ -115,7 +114,6 @@ class ExperimentReport:
     replicates: int
     failures: int
     runtime_s: float
-    config_echo: str
 
 
 def _fmt(value: float) -> str:
@@ -241,6 +239,7 @@ def _random_input_attack(
 ):
     """Empirical error trace when each attack draws its own record length and input.
 
+    Inputs are i.i.d. standard Gaussian, as :meth:`RandomInputModel.uniform_gaussian` has them.
     The MA noise is the valid-mode convolution of each driving row with the filter.
     """
     n_h = h.size
@@ -251,14 +250,7 @@ def _random_input_attack(
     def worker(chunk_idx: int, count: int):
         gen = stream(seed, "attack", chunk_idx)
         lengths = gen.choice(model.lengths, size=count, p=model.probabilities)
-        if model.input_sampler is None:
-            r_block = gen.standard_normal((count, max_len))
-        else:
-            r_block = np.zeros((count, max_len))
-            for k in range(count):
-                r_block[k, : lengths[k]] = np.asarray(
-                    model.input_sampler(gen, int(lengths[k])), dtype=float
-                )
+        r_block = gen.standard_normal((count, max_len))
         v_block = gen.standard_normal((count, max_len + m - 1))
         e_block = gen.standard_normal((count, max_len))
         sum_sq = 0.0
@@ -397,7 +389,6 @@ def attack_simulation(
         replicates=config.replicates,
         failures=failures,
         runtime_s=time.perf_counter() - start,
-        config_echo=format_config(config),
     )
 
 
@@ -545,6 +536,15 @@ def _reproduce_random(
     return rows
 
 
+def _write_csv(out_dir, name: str, text: str) -> str:
+    """Write ``text`` to ``<out_dir>/<name>.csv``, creating the directory; return the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{name}.csv")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    return path
+
+
 def rows_to_csv(rows: List[MetricRow]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -592,10 +592,5 @@ def reproduce(
         rows = scenarios[name]()
         all_rows.extend(rows)
         if out_dir is not None:
-            import os
-
-            os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(out_dir, f"{name}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(rows_to_csv(rows))
+            _write_csv(out_dir, name, rows_to_csv(rows))
     return all_rows

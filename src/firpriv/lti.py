@@ -24,6 +24,9 @@ SIGNAL_LABELS = ("r", "y", "e", "w", "v")
 #: Tolerance on |pole| < 1 used by the stability check.
 STABILITY_TOL = 1e-9
 
+#: Relative weight of the last summed samples at which ``fir_truncate`` stops its tail sum.
+TAIL_REL_TOL = 1e-12
+
 
 def _as_vector(x, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -183,45 +186,39 @@ class BandedFilterMatrix:
         return out
 
 
-def _lfilter(num, den, x, zi=None):
-    """Filter ``x`` by ``num / den`` in direct form II transposed.
+def _lfilter(num, den, x):
+    """Zero-state response of ``num / den`` to ``x``, in direct form II transposed.
 
     Follows the operation order of scipy's ``lfilter`` for float64 data, so
     the results are the same bit for bit.  Both coefficient vectors are
     divided by ``den[0]`` and the shorter is zero-padded to length m; then,
     per sample, ``y = z[0] + b[0]*x``, ``z[k] = (z[k+1] + x*b[k+1]) - y*a[k+1]``
     and ``z[m-2] = x*b[m-1] - y*a[m-1]``.  A one-entry ``den`` takes scipy's
-    convolution path instead.  ``zi`` is the initial state, of length m-1;
-    when it is given the final state is returned too, as ``(y, zf)``.
+    convolution path instead.
     """
     b = np.asarray(num, dtype=float)
     a = np.asarray(den, dtype=float)
     x = np.asarray(x, dtype=float)
-    m = max(a.size, b.size)
     if a.size == 1:
-        full = np.convolve(b / a[0], x)
-        if zi is None:
-            return full[: x.size]
-        full[: m - 1] += zi
-        return full[: x.size], full[x.size :]
+        return np.convolve(b / a[0], x)[: x.size]
 
+    m = max(a.size, b.size)
     a0 = a[0]
     b = (np.concatenate([b, np.zeros(m - b.size)]) / a0).tolist()
     a = (np.concatenate([a, np.zeros(m - a.size)]) / a0).tolist()
-    z = [0.0] * (m - 1) if zi is None else np.asarray(zi, dtype=float).tolist()
     out = []
     append = out.append
     b0 = b[0]
     if m == 2:
         # First order: every AR(1) input record takes this loop.
         b1, a1 = b[1], a[1]
-        state = z[0]
+        state = 0.0
         for xk in x.tolist():
             yk = state + b0 * xk
             state = xk * b1 - yk * a1
             append(yk)
-        z[0] = state
     else:
+        z = [0.0] * (m - 1)
         last = m - 2
         for xk in x.tolist():
             yk = z[0] + b0 * xk
@@ -229,8 +226,7 @@ def _lfilter(num, den, x, zi=None):
                 z[k] = (z[k + 1] + xk * b[k + 1]) - yk * a[k + 1]
             z[last] = xk * b[m - 1] - yk * a[m - 1]
             append(yk)
-    y = np.array(out, dtype=float)
-    return y if zi is None else (y, np.array(z, dtype=float))
+    return np.array(out, dtype=float)
 
 
 def impulse_response(g: RationalFilter, n: int) -> np.ndarray:
@@ -246,35 +242,25 @@ def impulse_response(g: RationalFilter, n: int) -> np.ndarray:
     return _lfilter(g.numerator, g.denominator, pulse)
 
 
-def fir_truncate(g: RationalFilter, order: int, rel_tol: float = 1e-12):
+def fir_truncate(g: RationalFilter, order: int):
     """Truncate ``g`` to an FIR model of the given order.
 
     Returns ``(FirModel, tail_quality)`` where ``tail_quality`` is the l1 norm
-    of the discarded impulse-response tail, accumulated until the running
-    increment drops below ``rel_tol`` relative to the accumulated total.
+    of the discarded impulse-response tail.  The tail is summed over the
+    first n samples of the impulse response, with n doubled from
+    ``2*order + 256`` until the second half of those samples adds at most
+    ``TAIL_REL_TOL`` of their whole l1 norm, or until n reaches 10**6.
     """
     if order < 1:
         raise ParameterError(f"order must be >= 1, got {order}")
-    full = impulse_response(g, order)
-    model = FirModel(full)
-
-    # Stability guarantees geometric decay, so the tail sum terminates; the
+    # Stability guarantees geometric decay, so the doubling terminates; the
     # cap only guards against near-unit poles.
-    tail = 0.0
-    state_size = max(g.numerator.size, g.denominator.size) - 1
-    if state_size > 0:
-        pulse = np.zeros(order)
-        pulse[0] = 1.0
-        _, state = _lfilter(g.numerator, g.denominator, pulse, zi=np.zeros(state_size))
-        chunk = 256
-        zeros = np.zeros(chunk)
-        for _ in range(10**6 // chunk + 1):
-            block, state = _lfilter(g.numerator, g.denominator, zeros, zi=state)
-            increment = np.sum(np.abs(block))
-            tail += increment
-            if increment <= rel_tol * max(tail, np.sum(np.abs(full)), 1e-300):
-                break
-    return model, float(tail)
+    n = 2 * order + 256
+    response = np.abs(impulse_response(g, n))
+    while n < 10**6 and np.sum(response[n // 2 :]) > TAIL_REL_TOL * np.sum(response):
+        n = min(2 * n, 10**6)
+        response = np.abs(impulse_response(g, n))
+    return FirModel(impulse_response(g, order)), float(np.sum(response[order:]))
 
 
 def _windows(x: np.ndarray, width: int, trailing: int = 0) -> np.ndarray:

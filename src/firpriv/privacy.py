@@ -17,6 +17,10 @@ from .errors import AuditSizeError, ParameterError
 from .lti import _samples, build_regressor
 from .rng import stream
 
+#: Output grid size of the exhaustive density audit.
+AUDIT_GRID_POINTS = 2001
+
+
 @dataclass(frozen=True)
 class CoefficientBox:
     """Axis-aligned box of admissible FIR coefficients: lower <= h_i <= upper."""
@@ -203,16 +207,16 @@ def privacy_audit(
     epsilon: float,
     b: float,
     sigma2: float = 0.0,
-    grid_points: int = 2001,
 ) -> float:
     """Exhaustive density audit of a Laplace-noised record on a tiny instance.
 
     Evaluates the exact per-sample output density (Laplace noise convolved
     with the Gaussian measurement noise, in closed form through the log
     normal CDF) for every adjacent pair of box corners and returns the
-    largest absolute log-likelihood ratio over a grid of ``grid_points``
-    outputs.  An epsilon-calibrated scale keeps the result at or below
-    epsilon up to rounding.
+    largest absolute log-likelihood ratio over a fixed grid of
+    ``AUDIT_GRID_POINTS`` outputs, evenly spaced on ``[-10 s, 10 s]`` with
+    ``s = b + sqrt(sigma2) + width * max|r|``.  An epsilon-calibrated scale
+    keeps the result at or below epsilon up to rounding.
     """
     samples = _samples(r)
     if samples.size > 4 or box.n_h > 2:
@@ -220,8 +224,6 @@ def privacy_audit(
             f"audit instance too large (N={samples.size}, n_h={box.n_h}); "
             "exact densities are only evaluated for N <= 4, n_h <= 2"
         )
-    if grid_points < 2001:
-        raise ParameterError(f"grid_points must be >= 2001, got {grid_points}")
     if box.width == 0.0:
         return 0.0
     if not b > 0:
@@ -229,7 +231,7 @@ def privacy_audit(
     reg = build_regressor(samples, box.n_h)
     sigma = math.sqrt(sigma2)
     scale = b + sigma + box.width * float(np.max(np.abs(samples)))
-    grid = np.linspace(-10.0 * scale, 10.0 * scale, grid_points)
+    grid = np.linspace(-10.0 * scale, 10.0 * scale, AUDIT_GRID_POINTS)
     log_base = _laplace_gauss_log_density(grid, b, sigma)
 
     worst = 0.0

@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
-from firpriv import ConfigError, format_config, parse_config, parse_config_text
+from firpriv import ConfigError, ExperimentConfig, format_config, parse_config, parse_config_text
+from firpriv.config import _SCHEMA
 
 MINIMAL = """
 # reference-style deterministic run
@@ -88,6 +91,35 @@ gamma1 = 1.0
         text = MINIMAL.replace("design_type = output_capped", "design_type = output_random")
         with pytest.raises(ConfigError, match="input_type = random_model"):
             parse_config_text(text)
+
+
+    def test_rls_random_design_rejected(self):
+        # The random-input design and attack are plain LS; an rls request was ignored.
+        text = """
+plant_type = fir
+plant_coeffs = 1, 0.5
+input_type = random_model
+random_min_length = 10
+random_max_length = 20
+random_theta = 2
+random_vartheta = 5
+design_type = output_random
+noise_order = 3
+sigma2 = 0.1
+gamma1 = 0.2
+adversary = rls
+rls_eta = 0.1
+rls_beta = 0.7
+"""
+        with pytest.raises(ConfigError, match="adversary = rls.*design_type = output_random"):
+            parse_config_text(text)
+        parse_config_text(text.replace("adversary = rls", "adversary = ls"))
+
+    def test_schema_has_one_key_per_field(self):
+        assert set(_SCHEMA) == {spec.name for spec in fields(ExperimentConfig)}
+        assert _SCHEMA["plant_coeffs"] is list
+        assert _SCHEMA["plant_fir_order"] is int and _SCHEMA["seed"] is int
+        assert _SCHEMA["rls_eta"] is float and _SCHEMA["input_file"] is str
 
 
 class TestRoundTrip:

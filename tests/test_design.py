@@ -247,7 +247,7 @@ class TestDesignInputCapped:
         h = FirModel(rng.standard_normal(n_h))
         r = random_regressor(rng, n, n_h)[:, 0]
         kernel = Kernel(stable_spline_kernel(n_h, 0.7), eta=0.1)
-        result = design_input_capped(r, h, 0.3, 0.9, n_l, adversary="rls", kernel=kernel)
+        result = design_input_capped(r, h, 0.3, 0.9, n_l, kernel=kernel)
         reg = build_regressor(r, n_h)
         f = np.convolve(h.coeffs, result.l_star)
         band = build_filter_matrix(f, n)
@@ -313,12 +313,18 @@ class TestEstimateExpectedQuadratic:
             input_sampler=lambda gen, length: r,
         )
         estimated = estimate_expected_quadratic(
-            model, n_h, n_l, sigma2, seed=0, adversary="rls", kernel=kernel, h_true=h
+            model, n_h, n_l, sigma2, seed=0, kernel=kernel, h_true=h
         )
         exact = rls_trace_quadratic(build_regressor(r, n_h), h, kernel, sigma2, n_l)
         np.testing.assert_allclose(estimated.matrix, exact.matrix, rtol=1e-12)
         assert estimated.offset == pytest.approx(exact.offset, rel=1e-12)
         assert estimated.adversary == "RLS"
+
+    def test_kernel_needs_h_true(self):
+        model = RandomInputModel.uniform_gaussian(8, 12, 2, 3)
+        kernel = Kernel(stable_spline_kernel(3, 0.7), eta=0.1)
+        with pytest.raises(ParameterError, match="h_true"):
+            estimate_expected_quadratic(model, 3, 2, 0.5, seed=0, kernel=kernel)
 
     def test_deterministic_in_seed(self):
         model = RandomInputModel.uniform_gaussian(8, 12, 4, 10)

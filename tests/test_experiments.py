@@ -1,18 +1,29 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from firpriv import (
+    CoefficientBox,
     ConfigError,
+    Kernel,
     ParameterError,
+    RationalFilter,
     attack_simulation,
     build_filter_matrix,
     build_regressor,
+    derive,
+    design_output_capped,
     gaussian_mechanism,
+    generate_filtered_input,
+    l2_sensitivity,
     laplace_mechanism,
     ls_gram_inverse,
     parse_config,
     parse_config_text,
     reproduce,
+    rls_trace_quadratic,
+    stable_spline_kernel,
     stream,
 )
 from firpriv.cli import main
@@ -47,6 +58,22 @@ dp_upper = 1
 sigma2 = 0.25
 replicates = 30000
 seed = 5
+"""
+
+RANDOM_CONFIG = """
+plant_type = fir
+plant_coeffs = 1, 0.5, 0.25
+input_type = random_model
+random_min_length = 12
+random_max_length = 16
+random_theta = 10
+random_vartheta = 50
+design_type = output_random
+noise_order = 4
+sigma2 = 0.2
+gamma1 = 0.5
+replicates = 2000
+seed = 7
 """
 
 
@@ -120,6 +147,32 @@ seed = 7
         tol = 3 * report.empirical_se + 0.02 * report.predicted_trace
         assert abs(report.empirical_trace - report.predicted_trace) <= tol
         assert report.design.predicted_ratio > 1.0
+
+    def test_rls_adversary_run_matches_direct_design(self):
+        text = LS_CONFIG.replace("replicates = 100000", "replicates = 20000")
+        text += "adversary = rls\nrls_eta = 0.1\nrls_beta = 0.7\n"
+        report = attack_simulation(parse_config_text(text), threads=2)
+        h = reference_plant()
+        r = generate_filtered_input(
+            RationalFilter([1.0], [1.0, -0.95]), 200, seed=derive(3, "input")
+        ).samples
+        kernel = Kernel(stable_spline_kernel(len(h), 0.7), eta=0.1)
+        quad = rls_trace_quadratic(build_regressor(r, len(h)), h, kernel, 1.0, 10)
+        expected = design_output_capped(quad, 1.0, 2.0)
+        assert quad.adversary == "RLS"
+        np.testing.assert_array_equal(report.design.l_star, expected.l_star)
+        assert report.predicted_trace == expected.predicted_trace
+        assert abs(report.empirical_trace - report.predicted_trace) <= 3 * report.empirical_se
+        ls = attack_simulation(replace(parse_config_text(LS_CONFIG), replicates=1))
+        assert ls.predicted_trace != report.predicted_trace
+
+    def test_gaussian_dp_run_matches_prediction(self):
+        text = DP_CONFIG.replace("design_type = dp_laplace", "design_type = dp_gaussian")
+        report = attack_simulation(parse_config_text(text + "dp_delta = 1e-5\n"))
+        r = stream(derive(5, "input"), "input-white").standard_normal(64)
+        expected = gaussian_mechanism(1.5, 1e-5, l2_sensitivity(r, CoefficientBox(0, 1, 3)), 0.25)
+        assert report.mechanism == expected
+        assert abs(report.empirical_trace - report.predicted_trace) <= 3 * report.empirical_se
 
     def test_thread_count_does_not_change_results(self):
         config = parse_config_text(LS_CONFIG.replace("replicates = 100000", "replicates = 30000"))
@@ -295,6 +348,41 @@ class TestCli:
         captured = capsys.readouterr().out
         assert code == 0
         assert "empirical_trace" in captured
+
+    def test_simulate_out_dir_writes_printed_pairs(self, tmp_path, capsys):
+        cfg = tmp_path / "dp.cfg"
+        cfg.write_text(DP_CONFIG.replace("replicates = 30000", "replicates = 2000"))
+        out_dir = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--threads", "2",
+                     "--out-dir", str(out_dir)])
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert printed[-1] == f"report written to {out_dir / 'simulate.csv'}"
+        pairs = [line.replace(" = ", ",") for line in printed[:-1]
+                 if not line.startswith("runtime_s")]
+        assert (out_dir / "simulate.csv").read_text().splitlines() == ["name,value", *pairs]
+
+    def test_weighted_and_random_commands_print_their_extra_value(self, tmp_path, capsys):
+        weighted = tmp_path / "weighted.cfg"
+        weighted.write_text(LS_CONFIG.replace("design_type = output_capped",
+                                              "design_type = output_weighted")
+                            .replace("gamma1 = 2.0", "gamma2 = 0.5"))
+        assert main(["design-weighted", "--config", str(weighted), "--seed", "3"]) == 0
+        report = attack_simulation(replace(parse_config(weighted), replicates=1), seed=3)
+        assert f"weighted_cost = {report.design.weighted_cost:.12g}" in capsys.readouterr().out
+
+        random = tmp_path / "random.cfg"
+        random.write_text(RANDOM_CONFIG)
+        assert main(["design-random", "--config", str(random), "--seed", "7"]) == 0
+        report = attack_simulation(replace(parse_config(random), replicates=1), seed=7)
+        assert f"predicted_ratio = {report.design.predicted_ratio:.12g}" in capsys.readouterr().out
+
+    def test_rls_random_design_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "random.cfg"
+        cfg.write_text(RANDOM_CONFIG + "adversary = rls\nrls_eta = 0.1\nrls_beta = 0.7\n")
+        assert main(["design-random", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "adversary" in err and "design_type" in err
 
     def test_reproduce_exit_code_on_tolerance_failure(self, tmp_path, capsys):
         # The bundled random scenario currently fails two reference checks.

@@ -395,15 +395,24 @@ class TestLfilterMatchesScipy:
     @pytest.mark.parametrize("na", [1, 2, 3, 4])
     @pytest.mark.parametrize("nb", [1, 2, 3, 4])
     def test_initial_and_final_state(self, nb, na):
+        # The filter starts at rest, and zeros appended to a record play out
+        # its final state, which must continue as scipy's filter does from
+        # ``zf``.  The one-entry denominator path sums convolution terms in
+        # an order that depends on the record length, so there it matches to
+        # rounding.
         rng = np.random.default_rng(1000 + 100 * nb + na)
+        m = max(nb, na)
         for n in self.LENGTHS:
             num, den = self._coeffs(rng, nb, na)
             x = rng.standard_normal(n)
-            zi = rng.standard_normal(max(nb, na) - 1)
-            y, zf = _lfilter(num, den, x, zi=zi)
-            y_ref, zf_ref = lfilter(num, den, x, zi=zi)
-            assert np.array_equal(y, y_ref)
-            assert np.array_equal(zf, zf_ref)
+            pad = np.zeros(2 * m + 3)
+            y_ref, zf = lfilter(num, den, x, zi=np.zeros(m - 1))
+            y_ref = np.concatenate([y_ref, lfilter(num, den, pad, zi=zf)[0]])
+            y = _lfilter(num, den, np.concatenate([x, pad]))
+            if na == 1:
+                np.testing.assert_allclose(y, y_ref, rtol=1e-14, atol=1e-15)
+            else:
+                assert np.array_equal(y, y_ref)
 
     def test_unit_denominator_every_length(self):
         rng = np.random.default_rng(7)
@@ -416,10 +425,9 @@ class TestLfilterMatchesScipy:
         rng = np.random.default_rng(8)
         for n in range(1, 301):
             x = rng.standard_normal(n)
-            zi = rng.standard_normal(1)
-            y, zf = _lfilter([1.0, 0.3], [1.0, -0.95], x, zi=zi)
-            y_ref, zf_ref = lfilter([1.0, 0.3], [1.0, -0.95], x, zi=zi)
-            assert np.array_equal(y, y_ref) and np.array_equal(zf, zf_ref)
+            assert np.array_equal(
+                _lfilter([1.0, 0.3], [1.0, -0.95], x), lfilter([1.0, 0.3], [1.0, -0.95], x)
+            )
 
     def test_public_filters_match_scipy_oracle(self):
         g = reference_filter()

@@ -249,6 +249,18 @@ class TestPrivacyAudit:
             ratio = privacy_audit(r, box, eps, mech.scale, sigma2=0.1)
             assert ratio <= eps + 0.02
 
+    def test_noiseless_calibrated_scale_meets_epsilon(self):
+        # Without measurement noise the worst adjacent pair shifts every sample
+        # by the full box width, so the audited loss is epsilon itself.
+        rng = np.random.default_rng(6)
+        for _ in range(4):
+            r = rng.uniform(-1.0, 1.0, 3)
+            half_width = float(rng.uniform(0.2, 1.0))
+            box = CoefficientBox(-half_width, half_width, 2)
+            eps = float(rng.uniform(0.5, 2.0))
+            b = l1_sensitivity(r, box) / eps
+            assert privacy_audit(r, box, eps, b) == pytest.approx(eps, rel=1e-9)
+
     def test_undersized_scale_violates_epsilon(self):
         rng = np.random.default_rng(5)
         violated = False
