@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -31,13 +31,12 @@ from .estimators import (
     FAILURE_BUDGET,
     Kernel,
     TraceQuadratic,
-    _kernel_inverse,
     _screened_inverse,
     _toeplitz,
     ls_trace_quadratic,
     rls_trace_quadratic,
 )
-from .lti import FirModel, _samples, build_regressor, convolution_matrix
+from .lti import FirModel, _check_noise_variance, _samples, build_regressor, convolution_matrix
 from .rng import stream
 
 logger = logging.getLogger(__name__)
@@ -100,6 +99,25 @@ def _check_sigma2(sigma2: float) -> None:
         raise ParameterError(f"sigma2 must be > 0, got {sigma2}")
 
 
+def _check_budget(sigma2: float, gamma1: float) -> None:
+    _check_sigma2(sigma2)
+    if not gamma1 > sigma2:  # NaN fails too
+        raise BudgetError(f"gamma1={gamma1} must strictly exceed sigma2={sigma2}")
+
+
+def _unmasked(offset: float, sigma2: float, n_l: int, lam1: float) -> DesignResult:
+    """The capped designs' result for a numerically zero objective: no masking filter."""
+    return DesignResult(
+        l_star=np.zeros(n_l),
+        predicted_trace=offset,
+        lambda_y=sigma2,
+        rho=1.0,
+        active_constraint=False,
+        top_eigenvalue=max(lam1, 0.0),
+        degenerate_objective=True,
+    )
+
+
 def design_output_capped(quadratic, sigma2: float, gamma1: float) -> DesignResult:
     """Maximize the error trace over MA filters with total variance capped.
 
@@ -107,22 +125,11 @@ def design_output_capped(quadratic, sigma2: float, gamma1: float) -> DesignResul
     spends the whole budget: ``||l*||^2 = gamma1 - sigma2``.
     """
     quad = _check_quadratic(quadratic)
-    _check_sigma2(sigma2)
-    if gamma1 <= sigma2:
-        raise BudgetError(f"gamma1={gamma1} must strictly exceed sigma2={sigma2}")
+    _check_budget(sigma2, gamma1)
     lam1, v1, degenerate = _top_eigenpair(quad.matrix)
-    n_l = quad.n_l
     if lam1 <= 0.0:
         # Numerically zero objective: any feasible filter is as good as none.
-        return DesignResult(
-            l_star=np.zeros(n_l),
-            predicted_trace=quad.offset,
-            lambda_y=sigma2,
-            rho=1.0,
-            active_constraint=False,
-            top_eigenvalue=max(lam1, 0.0),
-            degenerate_objective=True,
-        )
+        return _unmasked(quad.offset, sigma2, quad.n_l, lam1)
     l_star = math.sqrt(gamma1 - sigma2) * v1
     lambda_y = float(l_star @ l_star) + sigma2
     return DesignResult(
@@ -218,24 +225,14 @@ def _design_input(
     quad_f: TraceQuadratic, h_vec: np.ndarray, sigma2: float, gamma1: float, n_l: int
 ) -> DesignResult:
     """Input design from the record's quadratic in the filter ``conv(h, l)``."""
-    _check_sigma2(sigma2)
-    if gamma1 <= sigma2:
-        raise BudgetError(f"gamma1={gamma1} must strictly exceed sigma2={sigma2}")
+    _check_budget(sigma2, gamma1)
     Hmat = convolution_matrix(h_vec, n_l)
     m_prime = Hmat.T @ quad_f.matrix @ Hmat
     inv_sqrt = _gram_inv_sqrt(Hmat.T @ Hmat)
     whitened = inv_sqrt @ m_prime @ inv_sqrt
     lam1, eta, degenerate = _top_eigenpair(whitened)
     if lam1 <= 0.0:
-        return DesignResult(
-            l_star=np.zeros(n_l),
-            predicted_trace=quad_f.offset,
-            lambda_y=sigma2,
-            rho=1.0,
-            active_constraint=False,
-            top_eigenvalue=max(lam1, 0.0),
-            degenerate_objective=True,
-        )
+        return _unmasked(quad_f.offset, sigma2, n_l, lam1)
     l_star = math.sqrt(gamma1 - sigma2) * (inv_sqrt @ eta)
     f_star = np.convolve(h_vec, l_star)
     lambda_y = float(f_star @ f_star) + sigma2
@@ -256,18 +253,14 @@ class RandomInputModel:
     """Distribution of the adversary's experiment: record length and input law.
 
     ``lengths``/``probabilities`` give the finite support of the record
-    length; ``input_sampler(gen, n)`` draws one input record of length ``n``
-    (default: i.i.d. standard Gaussian).  ``theta`` length draws and
-    ``vartheta`` input draws per length define the Monte Carlo budget.
+    length; each input record is i.i.d. standard Gaussian.  ``theta`` length
+    draws and ``vartheta`` input draws per length define the Monte Carlo budget.
     """
 
     lengths: np.ndarray
     probabilities: np.ndarray
     theta: int
     vartheta: int
-    input_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = field(
-        default=None, compare=False
-    )
 
     def __post_init__(self):
         lengths = np.asarray(self.lengths, dtype=int)
@@ -298,41 +291,27 @@ class ExpectedTraceQuadratic(TraceQuadratic):
     samples: int = 0
 
 
-def _draw_inputs(model: RandomInputModel, gen: np.random.Generator, count: int, n: int):
-    if model.input_sampler is None:
-        return gen.standard_normal((count, n))
-    return np.stack([np.asarray(model.input_sampler(gen, n), dtype=float) for _ in range(count)])
-
-
 def estimate_expected_quadratic(
     model: RandomInputModel,
     n_h: int,
     n_l: int,
     sigma2: float,
     seed: int = 0,
-    kernel: Optional[Kernel] = None,
-    h_true=None,
 ) -> ExpectedTraceQuadratic:
-    """Monte Carlo estimate of the expected trace quadratic (matrix and offset).
+    """Monte Carlo estimate of the plain-LS expected trace quadratic (matrix and offset).
 
     Averages the per-instance quadratic over ``theta`` record-length draws and
-    ``vartheta`` input draws per length.  The adversary is plain LS, or the
-    regularized estimator when a ``kernel`` is given, whose bias needs
-    ``h_true``.  Ill-conditioned instances (condition estimate above the
-    solver limit) are redrawn; the run aborts if redraws exceed
-    ``FAILURE_BUDGET`` of the sample budget.
+    ``vartheta`` input draws per length.  Ill-conditioned instances
+    (condition estimate above the solver limit) are redrawn; the run aborts
+    if redraws exceed ``FAILURE_BUDGET`` of the sample budget.
     """
     if n_l < 1:
         raise ParameterError(f"n_l must be >= 1, got {n_l}")
+    _check_noise_variance(sigma2)
     if np.any(model.lengths < n_h):
         raise ParameterError(
             f"all support lengths must be >= n_h={n_h}, min is {int(model.lengths.min())}"
         )
-    if kernel is not None:
-        if h_true is None:
-            raise ParameterError("the regularized adversary requires h_true")
-        kinv = _kernel_inverse(kernel, allow_singular=False)
-        h_vec = _samples(h_true)
 
     total = model.theta * model.vartheta
     redraw_budget = FAILURE_BUDGET * total
@@ -345,12 +324,10 @@ def estimate_expected_quadratic(
     for i in range(model.theta):
         n = int(lengths[i])
         gen = stream(seed, "quad-inputs", i)
-        r_block = _draw_inputs(model, gen, model.vartheta, n)
+        r_block = gen.standard_normal((model.vartheta, n))
         while True:
-            R = build_regressor(r_block, n_h).matrix
+            R = build_regressor(r_block, n_h)
             gram = np.einsum("bij,bik->bjk", R, R)
-            if kernel is not None:
-                gram = gram + kernel.eta * kinv
             good, gram_inv = _screened_inverse(gram)
             bad = ~good
             if not bad.any():
@@ -361,16 +338,11 @@ def estimate_expected_quadratic(
                     f"{redraws} ill-conditioned replicates exceed the redraw budget "
                     f"({FAILURE_BUDGET:.1%} of {total})"
                 )
-            r_block[bad] = _draw_inputs(model, gen, int(bad.sum()), n)
-        if kernel is None:
-            A = np.einsum("bij,bjk->bik", R, gram_inv)  # rows of E = A A'
-            offset_acc += sigma2 * np.einsum("bii->", gram_inv)
-        else:
-            C = np.einsum("bij,bkj->bik", gram_inv, R)  # (b, n_h, N)
-            A = C.transpose(0, 2, 1)  # rows of E = C'C
-            bias = h_vec - np.einsum("bij,bj->bi", C, np.einsum("bij,j->bi", R, h_vec))
-            offset_acc += float(np.sum(bias * bias)) + sigma2 * float(np.sum(C * C))
-        for d in range(n_l):
+            r_block[bad] = gen.standard_normal((int(bad.sum()), n))
+        A = np.einsum("bij,bjk->bik", R, gram_inv)  # rows of E = A A'
+        offset_acc += sigma2 * np.einsum("bii->", gram_inv)
+        # Lags d >= N do not overlap the record, so their sums are zero.
+        for d in range(min(n_l, n)):
             diag_acc[d] += np.einsum("bij,bij->", A[:, : n - d, :], A[:, d:, :])
 
     if redraws:
@@ -379,7 +351,6 @@ def estimate_expected_quadratic(
     return ExpectedTraceQuadratic(
         matrix=matrix,
         offset=float(offset_acc / total),
-        adversary="LS" if kernel is None else "RLS",
         redraws=redraws,
         samples=total,
     )

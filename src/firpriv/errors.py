@@ -34,7 +34,7 @@ class RankError(FirprivError, ValueError):
 
 
 class SingularKernelError(FirprivError, ValueError):
-    """Regularization kernel is singular and pseudo-inverse mode is disabled."""
+    """Regularization kernel is numerically singular."""
 
 
 class RedrawBudgetError(FirprivError, RuntimeError):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConditioningError, DimensionError, ParameterError, SingularKernelError
-from .lti import BandedFilterMatrix, FirModel, RegressorMatrix, _samples
+from .lti import BandedFilterMatrix, FirModel, _check_noise_variance, _samples
 
 #: Solves are rejected when the normal-equation condition estimate exceeds this.
 CONDITION_LIMIT = 1e12
@@ -29,9 +29,6 @@ RESIDUAL_TOL = 1e-10
 
 #: Kernel eigenvalues at or below this fraction of the largest are treated as null.
 KERNEL_NULL_TOL = 1e-10
-
-#: Ridge added to kernel null directions before inversion (opt-in singular mode).
-KERNEL_NULL_RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -112,12 +109,6 @@ class RecordQuadratic(TraceQuadratic):
     estimator_map: Optional[np.ndarray] = None
     bias: float = 0.0
     noise_gain: float = 0.0
-
-
-def _regressor(R) -> np.ndarray:
-    if isinstance(R, RegressorMatrix):
-        return np.asarray(R.matrix)
-    return np.asarray(R, dtype=float)
 
 
 def _noise_band(noise_matrix, rows: int) -> np.ndarray | None:
@@ -232,7 +223,7 @@ def _regressor_stack(R):
     Contiguous records let stacked matmuls run each record through the same
     BLAS calls as a single (N, n_h) regressor, so results do not depend on b.
     """
-    Rm = np.ascontiguousarray(_regressor(R))
+    Rm = np.ascontiguousarray(R, dtype=float)
     return (Rm[np.newaxis], True) if Rm.ndim == 2 else (Rm, False)
 
 
@@ -242,7 +233,7 @@ def ls_estimate(R, y) -> LsEstimate:
     Rejects instances whose normal-equation condition estimate exceeds
     ``CONDITION_LIMIT`` rather than returning a meaningless solution.
     """
-    Rm = _regressor(R)
+    Rm = np.asarray(R, dtype=float)
     yv = _samples(y)
     if yv.size != Rm.shape[0]:
         raise DimensionError(f"output length {yv.size} != regressor rows {Rm.shape[0]}")
@@ -273,7 +264,8 @@ def ls_covariance(R, noise_matrix=None, sigma2: float = 0.0) -> ErrorReport:
     With no masking noise the covariance is ``sigma2 * inv(R'R)``; with a
     banded filter matrix L it is ``inv(R'R) R' (L L' + sigma2 I) R inv(R'R)``.
     """
-    Rm = _regressor(R)
+    _check_noise_variance(sigma2)
+    Rm = np.asarray(R, dtype=float)
     ginv = ls_gram_inverse(Rm)
     cov = sigma2 * ginv
     band = _noise_band(noise_matrix, Rm.shape[0])
@@ -295,73 +287,62 @@ def ls_trace_quadratic(R, sigma2: float, n_l: int) -> TraceQuadratic:
     return analyze_records(R, sigma2, n_l)[0]
 
 
-def _kernel_inverse(kernel: Kernel, allow_singular: bool) -> np.ndarray:
+def _kernel_inverse(kernel: Kernel) -> np.ndarray:
     eigs, vecs = np.linalg.eigh(kernel.matrix)
     null = eigs <= KERNEL_NULL_TOL * max(eigs[-1], 0.0)
     if np.any(null):
-        if not allow_singular:
-            raise SingularKernelError(
-                f"kernel is numerically singular ({int(null.sum())} null directions); "
-                "pass allow_singular_kernel=True to ridge the null space"
-            )
-        # Ridge the null directions of K itself before inverting, so the
-        # penalty strongly confines the estimate to the kernel's range.
-        eigs = np.where(null, KERNEL_NULL_RIDGE, eigs)
+        raise SingularKernelError(
+            f"kernel is numerically singular ({int(null.sum())} null directions)"
+        )
     inv = (vecs / eigs) @ vecs.T
     return (inv + inv.T) / 2.0
 
 
-def rls_gain(R, kernel: Kernel, allow_singular_kernel: bool = False) -> np.ndarray:
+def rls_gain(R, kernel: Kernel) -> np.ndarray:
     """The linear map C with h_hat = C y for the regularized estimator.
 
     ``R`` is one regressor (N, n_h), giving C of shape (n_h, N), or a stack
     (b, N, n_h), giving (b, n_h, N).  Every record's regularized normal
     matrix ``R'R + eta inv(K)`` must pass ``CONDITION_LIMIT``, and every
-    solve the ``RESIDUAL_TOL`` residual check.
+    solve the ``RESIDUAL_TOL`` residual check.  A numerically singular
+    kernel (see ``KERNEL_NULL_TOL``) raises :class:`SingularKernelError`.
     """
     Rs, single = _regressor_stack(R)
     if kernel.size != Rs.shape[-1]:
         raise DimensionError(f"kernel size {kernel.size} != coefficient count {Rs.shape[-1]}")
     Rt = np.swapaxes(Rs, -1, -2)
-    mats = Rt @ Rs + kernel.eta * _kernel_inverse(kernel, allow_singular_kernel)
+    mats = Rt @ Rs + kernel.eta * _kernel_inverse(kernel)
     _check_condition(mats, "regularized normal matrix")
     gains = np.stack([_spd_solve(mat, rt) for mat, rt in zip(mats, Rt)])
     return gains[0] if single else gains
 
 
-def rls_estimate(R, y, kernel: Kernel, allow_singular_kernel: bool = False) -> LsEstimate:
+def rls_estimate(R, y, kernel: Kernel) -> LsEstimate:
     """Kernel-regularized least-squares estimate.
 
-    Minimizes ``||y - R h||^2 + eta * h' inv(K) h``.  A singular kernel is
-    rejected unless ``allow_singular_kernel`` is set, in which case the null
-    directions of K are ridged (see ``KERNEL_NULL_RIDGE``) before inversion.
+    Minimizes ``||y - R h||^2 + eta * h' inv(K) h``.  A numerically singular
+    kernel is rejected (see :func:`rls_gain`).
     """
-    Rm = _regressor(R)
+    Rm = np.asarray(R, dtype=float)
     yv = _samples(y)
     if yv.size != Rm.shape[0]:
         raise DimensionError(f"output length {yv.size} != regressor rows {Rm.shape[0]}")
-    C = rls_gain(R, kernel, allow_singular_kernel)
+    C = rls_gain(R, kernel)
     h_hat = C @ yv
     return LsEstimate(h_hat=h_hat, residual_norm=float(np.linalg.norm(yv - Rm @ h_hat)))
 
 
 def rls_mse(
-    R,
-    h_true: FirModel,
-    noise_matrix=None,
-    sigma2: float = 0.0,
-    kernel: Kernel = None,
-    allow_singular_kernel: bool = False,
+    R, h_true: FirModel, kernel: Kernel, noise_matrix=None, sigma2: float = 0.0
 ) -> ErrorReport:
     """Exact mean-square-error matrix of the regularized estimate.
 
     Includes the regularization bias term, which depends on the true
     coefficients; the noise terms mirror :func:`ls_covariance`.
     """
-    if kernel is None:
-        raise ParameterError("rls_mse requires a kernel")
-    Rm = _regressor(R)
-    C = rls_gain(R, kernel, allow_singular_kernel)
+    _check_noise_variance(sigma2)
+    Rm = np.asarray(R, dtype=float)
+    C = rls_gain(R, kernel)
     h = _samples(h_true)
     bias_vec = h - C @ (Rm @ h)
     mse = np.outer(bias_vec, bias_vec) + sigma2 * (C @ C.T)
@@ -379,7 +360,6 @@ def rls_trace_quadratic(
     kernel: Kernel,
     sigma2: float,
     n_l: int,
-    allow_singular_kernel: bool = False,
 ) -> TraceQuadratic:
     """Reduce the regularized-estimator MSE trace to a quadratic in ``l``.
 
@@ -388,7 +368,7 @@ def rls_trace_quadratic(
     term, neither of which depends on the MA filter.  See
     :func:`analyze_records`.
     """
-    return analyze_records(R, sigma2, n_l, kernel, h_true, allow_singular_kernel)[0]
+    return analyze_records(R, sigma2, n_l, kernel, h_true)[0]
 
 
 def analyze_records(
@@ -397,7 +377,6 @@ def analyze_records(
     n_l: int,
     kernel: Optional[Kernel] = None,
     h_true=None,
-    allow_singular_kernel: bool = False,
 ) -> List[RecordQuadratic]:
     """Exact error analysis of fixed input records, one gain solve per record.
 
@@ -415,6 +394,7 @@ def analyze_records(
     """
     if n_l < 1:
         raise ParameterError(f"n_l must be >= 1, got {n_l}")
+    _check_noise_variance(sigma2)
     Rs, _ = _regressor_stack(R)
     if kernel is None:
         gram_inv = ls_gram_inverse(Rs)
@@ -425,24 +405,20 @@ def analyze_records(
         if h_true is None:
             raise ParameterError("the regularized analysis requires h_true")
         h = _samples(h_true)
-        gain = rls_gain(Rs, kernel, allow_singular_kernel)
+        gain = rls_gain(Rs, kernel)
         estimator_map = np.swapaxes(gain, 1, 2)
         # Stacked matmuls and sums repeat each record's own BLAS arithmetic.
         bias_vec = h - (gain @ (Rs @ h)[:, :, np.newaxis])[:, :, 0]
         bias = (bias_vec[:, np.newaxis] @ bias_vec[:, :, np.newaxis]).ravel()
         noise_gain = np.sum(gain * gain, axis=(1, 2))
     n = Rs.shape[1]
-    # Offset-d diagonal sum of C'C: the sum over t of E[t] . E[t + d].  The
-    # sum runs in the map's memory order, as a per-record np.sum would: the
-    # sign of an antisymmetric top eigenvector of the quadratic, and so of a
-    # designed filter, is decided by these rounding bits.
-    sums = np.stack(
-        [
-            np.sum(estimator_map[:, : n - d] * estimator_map[:, d:], axis=(1, 2))
-            for d in range(n_l)
-        ],
-        axis=1,
-    )
+    # Offset-d diagonal sum of C'C: the sum over t of E[t] . E[t + d], zero
+    # for d >= N.  The sum runs in the map's memory order, as a per-record
+    # np.sum would: the sign of an antisymmetric top eigenvector of the
+    # quadratic, and so of a designed filter, is decided by these rounding bits.
+    sums = np.zeros((len(Rs), n_l))
+    for d in range(min(n_l, n)):
+        sums[:, d] = np.sum(estimator_map[:, : n - d] * estimator_map[:, d:], axis=(1, 2))
     matrices = _toeplitz(sums)
     return [
         RecordQuadratic(

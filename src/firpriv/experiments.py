@@ -45,7 +45,6 @@ from .estimators import (
 from .lti import (
     FirModel,
     RationalFilter,
-    RegressorMatrix,
     build_filter_matrix,
     build_regressor,
     generate_filtered_input,
@@ -138,9 +137,7 @@ def _resolve_fixed_input(config: ExperimentConfig, seed: int) -> np.ndarray:
         return stream(seed, "input-white").standard_normal(config.input_length)
     if config.input_type == "filtered":
         w = RationalFilter(np.asarray(config.input_filter_num), np.asarray(config.input_filter_den))
-        return np.asarray(
-            generate_filtered_input(w, config.input_length, seed=seed).samples
-        )
+        return generate_filtered_input(w, config.input_length, seed=seed)
     if config.input_type == "file":
         try:
             return np.loadtxt(config.input_file, dtype=float).ravel()
@@ -239,7 +236,7 @@ def _random_input_attack(
 ):
     """Empirical error trace when each attack draws its own record length and input.
 
-    Inputs are i.i.d. standard Gaussian, as :meth:`RandomInputModel.uniform_gaussian` has them.
+    Inputs are i.i.d. standard Gaussian, as :class:`RandomInputModel` has them.
     The MA noise is the valid-mode convolution of each driving row with the filter.
     """
     n_h = h.size
@@ -260,7 +257,7 @@ def _random_input_attack(
         for n in np.unique(lengths):
             idx = np.flatnonzero(lengths == n)
             n = int(n)
-            R = build_regressor(r_block[idx, :n], n_h).matrix
+            R = build_regressor(r_block[idx, :n], n_h)
             gram = np.einsum("bij,bik->bjk", R, R)
             good, gram_inv = _screened_inverse(gram)
             failures += int(np.sum(~good))
@@ -270,7 +267,7 @@ def _random_input_attack(
             A = np.einsum("bij,bjk->bik", R, gram_inv)
             y = np.einsum("bij,j->bi", R, h)
             if ma_coeffs is not None:
-                V = build_regressor(v_block[idx[good], : n + m - 1], m).matrix[:, m - 1 :]
+                V = build_regressor(v_block[idx[good], : n + m - 1], m)[:, m - 1 :]
                 y = y + np.einsum("bij,j->bi", V, ma_coeffs)
             if sigma > 0:
                 y = y + sigma * e_block[idx[good], :n]
@@ -290,7 +287,7 @@ def _random_input_attack(
     return (*_mean_and_se(parts), failures)
 
 
-def _design_fixed(config: ExperimentConfig, h: FirModel, r: np.ndarray, reg: RegressorMatrix):
+def _design_fixed(config: ExperimentConfig, h: FirModel, r: np.ndarray, reg: np.ndarray):
     """Design/calibrate for a fixed input; returns analytic quantities and noise.
 
     The record ``r``, with regressor ``reg``, is analyzed once: its trace
@@ -374,7 +371,7 @@ def attack_simulation(
             config, h, r, reg
         )
         empirical, se, failures = _fixed_input_attack(
-            h.coeffs, reg.matrix @ h.coeffs, estimator_map, ma_coeffs, mech, config.sigma2,
+            h.coeffs, reg @ h.coeffs, estimator_map, ma_coeffs, mech, config.sigma2,
             derive(seed, "attack"), config.replicates, threads,
         )
 
@@ -423,7 +420,7 @@ def _deterministic_traces(seed: int, realizations: int, rls: bool):
         else None
     )
     records = np.stack([
-        generate_filtered_input(w, params["n_samples"], seed=derive(seed, "det-input", k)).samples
+        generate_filtered_input(w, params["n_samples"], seed=derive(seed, "det-input", k))
         for k in range(realizations)
     ])
     quads = analyze_records(

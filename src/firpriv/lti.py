@@ -19,8 +19,6 @@ import numpy as np
 from .errors import DimensionError, ParameterError, StabilityError
 from .rng import stream
 
-SIGNAL_LABELS = ("r", "y", "e", "w", "v")
-
 #: Tolerance on |pole| < 1 used by the stability check.
 STABILITY_TOL = 1e-9
 
@@ -37,6 +35,11 @@ def _as_vector(x, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{name} contains non-finite entries")
     return arr
+
+
+def _check_noise_variance(sigma2: float) -> None:
+    if not sigma2 >= 0:  # NaN fails too
+        raise ParameterError(f"sigma2 must be >= 0, got {sigma2}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -100,48 +103,10 @@ def _poles(den: np.ndarray) -> np.ndarray:
     return np.roots(trimmed)
 
 
-@dataclass(frozen=True)
-class SignalSeq:
-    """Finite sample record of a scalar signal."""
-
-    samples: np.ndarray
-    label: str = "r"
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _readonly(_as_vector(self.samples, "samples")))
-        if self.label not in SIGNAL_LABELS:
-            raise ParameterError(f"label must be one of {SIGNAL_LABELS}, got {self.label!r}")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
 def _samples(x) -> np.ndarray:
-    if isinstance(x, SignalSeq):
-        return np.asarray(x.samples)
     if isinstance(x, FirModel):
         return np.asarray(x.coeffs)
     return _as_vector(x, "signal")
-
-
-@dataclass(frozen=True)
-class RegressorMatrix:
-    """Lower-banded Toeplitz matrix R with ``R[t, j] = r_{t-j+1}`` (1-based).
-
-    ``matrix @ h`` equals the zero-state response of the FIR system ``h`` to
-    the input the matrix was built from.  For a stack of records ``matrix``
-    is (b, N, n_h), one such matrix per record.
-    """
-
-    matrix: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return self.matrix.shape[-2]
-
-    @property
-    def n_coeffs(self) -> int:
-        return self.matrix.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -275,11 +240,13 @@ def _windows(x: np.ndarray, width: int, trailing: int = 0) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, width, axis=-1)[..., ::-1]
 
 
-def build_regressor(r, n_h: int) -> RegressorMatrix:
+def build_regressor(r, n_h: int) -> np.ndarray:
     """Build the N x n_h regressor matrix of an input record, or a stack of them.
 
+    The lower-banded Toeplitz matrix R has ``R[t, j] = r_{t-j+1}`` (1-based),
+    so ``R @ h`` is the zero-state response of the FIR system ``h`` to ``r``.
     ``r`` is one record (N,) or a (b, N) stack of equal-length records,
-    giving an (N, n_h) or a (b, N, n_h) matrix.  Either way the matrix is a
+    giving an (N, n_h) or a (b, N, n_h) array.  Either way it is a
     read-only sliding-window view of the zero-padded records, not a copy.
     Requires ``N >= n_h`` so that the least-squares problem it feeds is not
     structurally underdetermined.
@@ -295,7 +262,7 @@ def build_regressor(r, n_h: int) -> RegressorMatrix:
         raise ParameterError(f"n_h must be >= 1, got {n_h}")
     if n < n_h:
         raise DimensionError(f"need at least n_h={n_h} samples, got N={n}")
-    return RegressorMatrix(matrix=_windows(samples, n_h))
+    return _windows(samples, n_h)
 
 
 def build_filter_matrix(l, n_samples: int) -> BandedFilterMatrix:
@@ -321,15 +288,6 @@ def convolution_matrix(h, n_cols: int) -> np.ndarray:
     return _windows(coeffs, n_cols, trailing=n_cols - 1).copy()
 
 
-def _draw_white(gen: np.random.Generator, size: int, dist: str) -> np.ndarray:
-    if dist == "gaussian":
-        return gen.standard_normal(size)
-    if dist == "uniform":
-        # Uniform on +-sqrt(3) has unit variance.
-        return gen.uniform(-np.sqrt(3.0), np.sqrt(3.0), size)
-    raise ParameterError(f"unknown white-noise distribution {dist!r}")
-
-
 def simulate(
     h: FirModel,
     r,
@@ -337,15 +295,14 @@ def simulate(
     l=None,
     sigma2: float = 0.0,
     seed: int = 0,
-    dist: str = "gaussian",
-) -> SignalSeq:
+) -> np.ndarray:
     """Simulate one output record of the plant under the chosen noise channel.
 
     Parameters
     ----------
     h : FirModel
         Plant coefficients.
-    r : SignalSeq or array_like
+    r : array_like
         Input record of length N (>= len(h)).
     channel : {"output", "input", "none"}
         Where the masking noise enters.  "output" adds the MA process driven
@@ -358,18 +315,16 @@ def simulate(
         Variance of the white measurement noise.
     seed : int
         Stream seed; draws are a pure function of (seed, stream, index).
-    dist : {"gaussian", "uniform"}
-        Distribution of the unit-variance driving noise.
 
-    The masking noise is stationary: its driving vector extends before the
-    first sample, so every output sample sees the full filter memory and the
-    record follows the banded-matrix model; the MA filter is applied as a
-    valid-mode convolution in O(N*m).
+    Returns the read-only output record.  The masking noise is driven by
+    standard Gaussian white noise and is stationary: its driving vector
+    extends before the first sample, so every output sample sees the full
+    filter memory and the record follows the banded-matrix model; the MA
+    filter is applied as a valid-mode convolution in O(N*m).
     """
-    if sigma2 < 0:
-        raise ParameterError(f"sigma2 must be >= 0, got {sigma2}")
+    _check_noise_variance(sigma2)
     samples = _samples(r)
-    y = build_regressor(samples, len(h)).matrix @ h.coeffs
+    y = build_regressor(samples, len(h)) @ h.coeffs
     n = samples.size
 
     if channel not in ("output", "input", "none"):
@@ -380,17 +335,17 @@ def simulate(
         coeffs = _samples(l)
         if channel == "input":
             coeffs = np.convolve(h.coeffs, coeffs)
-        v = _draw_white(stream(seed, "v"), n + coeffs.size - 1, dist)
+        v = stream(seed, "v").standard_normal(n + coeffs.size - 1)
         y = y + np.convolve(v, coeffs, mode="valid")
     if sigma2 > 0:
         y = y + np.sqrt(sigma2) * stream(seed, "e").standard_normal(n)
-    return SignalSeq(y, label="y")
+    return _readonly(y)
 
 
-def generate_filtered_input(w_filter: RationalFilter, n_samples: int, seed: int = 0) -> SignalSeq:
-    """Unit-variance white Gaussian noise shaped by ``w_filter`` (zero initial state)."""
+def generate_filtered_input(w_filter: RationalFilter, n_samples: int, seed: int = 0) -> np.ndarray:
+    """Read-only unit-variance white Gaussian noise shaped by ``w_filter`` (zero initial state)."""
     if n_samples < 1:
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
     white = stream(seed, "input-white").standard_normal(n_samples)
     shaped = _lfilter(w_filter.numerator, w_filter.denominator, white)
-    return SignalSeq(shaped, label="r")
+    return _readonly(shaped)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtri
 
 from .errors import AuditSizeError, ParameterError
-from .lti import _samples, build_regressor
+from .lti import _check_noise_variance, _samples, build_regressor
 from .rng import stream
 
 #: Output grid size of the exhaustive density audit.
@@ -105,6 +105,7 @@ def laplace_mechanism(epsilon: float, sensitivity: float, sigma2: float = 0.0) -
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
     if sensitivity < 0:
         raise ParameterError(f"sensitivity must be >= 0, got {sensitivity}")
+    _check_noise_variance(sigma2)
     scale = sensitivity / epsilon
     return DpMechanism(
         kind="laplace",
@@ -152,6 +153,7 @@ def gaussian_mechanism(
     """
     if l2_sensitivity < 0:
         raise ParameterError(f"l2_sensitivity must be >= 0, got {l2_sensitivity}")
+    _check_noise_variance(sigma2)
     std = gaussian_noise_multiplier(epsilon, delta) * l2_sensitivity / epsilon
     return DpMechanism(
         kind="gaussian",
@@ -219,6 +221,7 @@ def privacy_audit(
     keeps the result at or below epsilon up to rounding.
     """
     samples = _samples(r)
+    _check_noise_variance(sigma2)
     if samples.size > 4 or box.n_h > 2:
         raise AuditSizeError(
             f"audit instance too large (N={samples.size}, n_h={box.n_h}); "
@@ -236,7 +239,7 @@ def privacy_audit(
 
     worst = 0.0
     for j in range(box.n_h):
-        shifts = box.width * np.abs(reg.matrix[:, j])
+        shifts = box.width * np.abs(reg[:, j])
         total = 0.0
         for d in np.unique(shifts):
             if d == 0.0:

@@ -88,7 +88,7 @@ def test_criterion_1_trace_identity():
         quad = ls_trace_quadratic(reg, sigma2, n_l)
         for _ in range(3):
             l = rng.standard_normal(n_l)
-            band = build_filter_matrix(l, reg.n_samples)
+            band = build_filter_matrix(l, len(reg))
             direct = ls_covariance(reg, noise_matrix=band, sigma2=sigma2).trace
             worst = max(worst, abs(quad.evaluate(l) - direct) / abs(direct))
     elapsed = time.perf_counter() - start
@@ -395,10 +395,10 @@ def test_criterion_9_empirical_vs_analytic_error():
             estimator_map = rls_gain(reg, kernel).T
         else:
             analytic = ls_covariance(reg, noise_matrix=band, sigma2=sigma2).trace
-            estimator_map = np.linalg.solve(reg.matrix.T @ reg.matrix, reg.matrix.T).T
+            estimator_map = np.linalg.solve(reg.T @ reg, reg.T).T
         v = rng.standard_normal((reps, band.matrix.shape[1]))
         e = rng.standard_normal((reps, n)) * np.sqrt(sigma2)
-        y = reg.matrix @ h + v @ band.matrix.T + e
+        y = reg @ h + v @ band.matrix.T + e
         err = y @ estimator_map - h
         empirical = float(np.mean(np.einsum("bj,bj->b", err, err)))
         worst = max(worst, abs(empirical - analytic) / analytic)

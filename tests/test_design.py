@@ -10,6 +10,7 @@ from firpriv import (
     RankError,
     RedrawBudgetError,
     TraceQuadratic,
+    analyze_records,
     build_regressor,
     design_input_capped,
     design_output_capped,
@@ -18,11 +19,12 @@ from firpriv import (
     estimate_expected_quadratic,
     ls_trace_quadratic,
     rls_mse,
-    rls_trace_quadratic,
     build_filter_matrix,
     derive,
     stable_spline_kernel,
+    stream,
 )
+from firpriv import estimators
 from helpers import ball_samples, random_regressor, sphere_samples
 
 
@@ -53,6 +55,8 @@ class TestDesignOutputCapped:
         quad = TraceQuadratic(matrix=np.eye(2), offset=1.0)
         with pytest.raises(BudgetError):
             design_output_capped(quad, sigma2=1.0, gamma1=1.0)
+        with pytest.raises(BudgetError):
+            design_output_capped(quad, sigma2=1.0, gamma1=float("nan"))
 
     def test_dominates_random_feasible_candidates(self):
         rng = np.random.default_rng(0)
@@ -283,48 +287,25 @@ class TestEstimateExpectedQuadratic:
         assert redraws == [3, 2, 2, 2, 0, 1, 9, 1]
 
     def test_point_mass_matches_deterministic(self):
-        rng = np.random.default_rng(12)
-        n, n_h, n_l, sigma2 = 20, 3, 4, 0.4
-        r = random_regressor(rng, n, n_h)[:, 0]
-        model = RandomInputModel(
-            lengths=[n],
-            probabilities=[1.0],
-            theta=3,
-            vartheta=5,
-            input_sampler=lambda gen, length: r,
+        # Same-draw oracle: rebuild the estimator's records from its streams and
+        # average their exact per-record quadratics.  n_l exceeds the shortest
+        # record, whose lags d >= N add nothing.
+        n_h, n_l, sigma2, seed = 3, 11, 0.4, 5
+        model = RandomInputModel(lengths=[8, 12], probabilities=[0.5, 0.5], theta=4, vartheta=6)
+        estimated = estimate_expected_quadratic(model, n_h, n_l, sigma2, seed=seed)
+        assert estimated.redraws == 0 and estimated.samples == 24
+        lengths = stream(seed, "quad-lengths").choice(
+            model.lengths, size=model.theta, p=model.probabilities
         )
-        estimated = estimate_expected_quadratic(model, n_h, n_l, sigma2, seed=0)
-        exact = ls_trace_quadratic(build_regressor(r, n_h), sigma2, n_l)
-        np.testing.assert_allclose(estimated.matrix, exact.matrix, rtol=1e-12)
-        assert estimated.offset == pytest.approx(exact.offset, rel=1e-12)
-        assert estimated.samples == 15
-
-    def test_point_mass_matches_deterministic_rls(self):
-        rng = np.random.default_rng(23)
-        n, n_h, n_l, sigma2 = 20, 3, 4, 0.4
-        r = random_regressor(rng, n, n_h)[:, 0]
-        h = FirModel(rng.standard_normal(n_h))
-        kernel = Kernel(stable_spline_kernel(n_h, 0.7), eta=0.1)
-        model = RandomInputModel(
-            lengths=[n],
-            probabilities=[1.0],
-            theta=2,
-            vartheta=4,
-            input_sampler=lambda gen, length: r,
+        assert set(lengths) == {8, 12}
+        quads = []
+        for i, n in enumerate(lengths):
+            records = stream(seed, "quad-inputs", i).standard_normal((model.vartheta, int(n)))
+            quads += analyze_records(build_regressor(records, n_h), sigma2, n_l)
+        np.testing.assert_allclose(
+            estimated.matrix, np.mean([q.matrix for q in quads], axis=0), rtol=1e-12
         )
-        estimated = estimate_expected_quadratic(
-            model, n_h, n_l, sigma2, seed=0, kernel=kernel, h_true=h
-        )
-        exact = rls_trace_quadratic(build_regressor(r, n_h), h, kernel, sigma2, n_l)
-        np.testing.assert_allclose(estimated.matrix, exact.matrix, rtol=1e-12)
-        assert estimated.offset == pytest.approx(exact.offset, rel=1e-12)
-        assert estimated.adversary == "RLS"
-
-    def test_kernel_needs_h_true(self):
-        model = RandomInputModel.uniform_gaussian(8, 12, 2, 3)
-        kernel = Kernel(stable_spline_kernel(3, 0.7), eta=0.1)
-        with pytest.raises(ParameterError, match="h_true"):
-            estimate_expected_quadratic(model, 3, 2, 0.5, seed=0, kernel=kernel)
+        assert estimated.offset == pytest.approx(np.mean([q.offset for q in quads]), rel=1e-12)
 
     def test_deterministic_in_seed(self):
         model = RandomInputModel.uniform_gaussian(8, 12, 4, 10)
@@ -346,16 +327,18 @@ class TestEstimateExpectedQuadratic:
         assert dev_a <= 0.5 * scale and dev_b <= 0.5 * scale
         assert abs(small_a.offset - small_b.offset) <= 0.5 * reference.offset
 
-    def test_redraw_budget_aborts(self):
-        model = RandomInputModel(
-            lengths=[10],
-            probabilities=[1.0],
-            theta=2,
-            vartheta=5,
-            input_sampler=lambda gen, length: np.zeros(length),
-        )
+    def test_redraw_budget_aborts(self, monkeypatch):
+        # Every record fails a condition limit of 1, so the redraws run out.
+        monkeypatch.setattr(estimators, "CONDITION_LIMIT", 1.0)
+        model = RandomInputModel(lengths=[10], probabilities=[1.0], theta=2, vartheta=5)
         with pytest.raises(RedrawBudgetError):
             estimate_expected_quadratic(model, 3, 2, 0.5, seed=0)
+
+    @pytest.mark.parametrize("sigma2", [-0.1, np.nan])
+    def test_invalid_measurement_noise_rejected(self, sigma2):
+        model = RandomInputModel.uniform_gaussian(8, 12, 2, 3)
+        with pytest.raises(ParameterError, match="sigma2"):
+            estimate_expected_quadratic(model, 3, 2, sigma2, seed=0)
 
     def test_length_support_must_cover_n_h(self):
         model = RandomInputModel.uniform_gaussian(4, 6, 2, 2)

@@ -42,7 +42,7 @@ class TestLsEstimate:
         rng = np.random.default_rng(0)
         reg = make_instance(rng, 20, 4)
         h = rng.standard_normal(4)
-        est = ls_estimate(reg, reg.matrix @ h)
+        est = ls_estimate(reg, reg @ h)
         np.testing.assert_allclose(est.h_hat, h, atol=1e-10)
         assert est.residual_norm < 1e-10
 
@@ -59,10 +59,10 @@ class TestLsEstimate:
         h = rng.standard_normal(n_h)
         l = rng.standard_normal(n_l)
         band = build_filter_matrix(l, n).matrix
-        estimator_map = np.linalg.solve(reg.matrix.T @ reg.matrix, reg.matrix.T).T
+        estimator_map = np.linalg.solve(reg.T @ reg, reg.T).T
         v = rng.standard_normal((reps, band.shape[1]))
         e = rng.standard_normal((reps, n)) * np.sqrt(sigma2)
-        y = reg.matrix @ h + v @ band.T + e
+        y = reg @ h + v @ band.T + e
         h_hat = y @ estimator_map
         err_mean = h_hat.mean(axis=0) - h
         se = h_hat.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -80,8 +80,8 @@ class TestLsEstimate:
         reg = make_instance(rng, 40, 5)
         y = rng.standard_normal(40)
         est = ls_estimate(reg, y)
-        gram = reg.matrix.T @ reg.matrix
-        rhs = reg.matrix.T @ y
+        gram = reg.T @ reg
+        rhs = reg.T @ y
         rel = np.linalg.norm(gram @ est.h_hat - rhs) / np.linalg.norm(rhs)
         assert rel <= 1e-10
 
@@ -91,7 +91,7 @@ class TestLsCovariance:
         rng = np.random.default_rng(3)
         reg = make_instance(rng, 18, 3)
         report = ls_covariance(reg, sigma2=0.7)
-        expected = 0.7 * np.linalg.inv(reg.matrix.T @ reg.matrix)
+        expected = 0.7 * np.linalg.inv(reg.T @ reg)
         np.testing.assert_allclose(report.matrix, expected, rtol=1e-10)
         assert report.adversary == "LS"
 
@@ -110,10 +110,10 @@ class TestLsCovariance:
         band = build_filter_matrix(l, n)
         report = ls_covariance(reg, noise_matrix=band, sigma2=sigma2)
 
-        estimator_map = np.linalg.solve(reg.matrix.T @ reg.matrix, reg.matrix.T).T
+        estimator_map = np.linalg.solve(reg.T @ reg, reg.T).T
         v = rng.standard_normal((reps, band.matrix.shape[1]))
         e = rng.standard_normal((reps, n)) * np.sqrt(sigma2)
-        y = reg.matrix @ h + v @ band.matrix.T + e
+        y = reg @ h + v @ band.matrix.T + e
         err = y @ estimator_map - h
         empirical = float(np.mean(np.einsum("bj,bj->b", err, err)))
         assert empirical == pytest.approx(report.trace, rel=0.02)
@@ -134,7 +134,7 @@ class TestLsTraceQuadratic:
         rng = np.random.default_rng(7)
         reg = make_instance(rng, 15, 3)
         quad = ls_trace_quadratic(reg, sigma2=0.2, n_l=1)
-        expected = np.trace(dense_error_matrix(reg.matrix))
+        expected = np.trace(dense_error_matrix(reg))
         assert quad.matrix.shape == (1, 1)
         assert quad.matrix[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -142,7 +142,7 @@ class TestLsTraceQuadratic:
         rng = np.random.default_rng(8)
         reg = make_instance(rng, 15, 3)
         quad = ls_trace_quadratic(reg, sigma2=0.2, n_l=4)
-        expected = 0.2 * np.trace(np.linalg.inv(reg.matrix.T @ reg.matrix))
+        expected = 0.2 * np.trace(np.linalg.inv(reg.T @ reg))
         assert quad.evaluate(np.zeros(4)) == pytest.approx(expected, rel=1e-12)
 
     def test_identity_against_direct_covariance(self):
@@ -169,7 +169,7 @@ class TestLsTraceQuadratic:
             n_l = int(rng.integers(1, 6))
             reg = build_regressor(random_regressor(rng, n, n_h)[:, 0], n_h)
             quad = ls_trace_quadratic(reg, sigma2=0.5, n_l=n_l)
-            literal = kron_quadratic(dense_error_matrix(reg.matrix), n_l)
+            literal = kron_quadratic(dense_error_matrix(reg), n_l)
             np.testing.assert_allclose(quad.matrix, literal, atol=1e-12 * max(1, literal.max()))
 
     def test_matrix_is_psd(self):
@@ -212,11 +212,11 @@ class TestRlsEstimate:
 
         # Plain gradient descent on the regularized cost, step 1/L.
         kinv = np.linalg.inv(kernel.matrix)
-        gram = reg.matrix.T @ reg.matrix
+        gram = reg.T @ reg
         hess = 2.0 * (gram + kernel.eta * kinv)
         step = 1.0 / np.linalg.eigvalsh(hess).max()
         x = np.zeros(n_h)
-        rhs = 2.0 * reg.matrix.T @ y
+        rhs = 2.0 * reg.T @ y
         for _ in range(20_000):
             grad = hess @ x - rhs
             x = x - step * grad
@@ -229,14 +229,14 @@ class TestRlsEstimate:
         reg = make_instance(rng, 20, 3)
         h = np.array([1.0, 0.5, 0.25])
         rank_one = Kernel(np.outer(h, h), eta=0.1)
-        y = reg.matrix @ h
+        y = reg @ h
+        # There is no opt-in: every regularized path rejects a singular kernel.
         with pytest.raises(SingularKernelError):
             rls_estimate(reg, y, rank_one)
-        est = rls_estimate(reg, y, rank_one, allow_singular_kernel=True)
-        assert np.all(np.isfinite(est.h_hat))
-        # The ridged null space confines the estimate near span(h).
-        projector = np.eye(3) - np.outer(h, h) / (h @ h)
-        assert np.linalg.norm(projector @ est.h_hat) <= 1e-4 * np.linalg.norm(est.h_hat)
+        with pytest.raises(SingularKernelError):
+            rls_mse(reg, h, kernel=rank_one)
+        with pytest.raises(SingularKernelError):
+            analyze_records(reg, 0.1, 2, rank_one, h)
 
 
 class TestRlsMse:
@@ -271,7 +271,7 @@ class TestRlsMse:
         C = rls_gain(reg, kernel)
         v = rng.standard_normal((reps, band.matrix.shape[1]))
         e = rng.standard_normal((reps, n)) * np.sqrt(sigma2)
-        y = reg.matrix @ h + v @ band.matrix.T + e
+        y = reg @ h + v @ band.matrix.T + e
         err = y @ C.T - h
         empirical = float(np.mean(np.einsum("bj,bj->b", err, err)))
         assert empirical == pytest.approx(report.trace, rel=0.02)
@@ -339,7 +339,7 @@ class TestAnalyzeRecords:
         rng = np.random.default_rng(30 + b)
         n_h, n_l, sigma2 = 9, 10, 0.7
         stack = np.stack(
-            [build_regressor(rng.standard_normal(n), n_h).matrix for _ in range(b)]
+            [build_regressor(rng.standard_normal(n), n_h) for _ in range(b)]
         )
         h = rng.standard_normal(n_h)
         kernel = spline_kernel(n_h) if rls else None
@@ -371,7 +371,7 @@ class TestAnalyzeRecords:
         rng = np.random.default_rng(31)
         records = rng.standard_normal((20, 50))
         records[17] = 0.0
-        stack = np.stack([build_regressor(r, 4).matrix for r in records])
+        stack = np.stack([build_regressor(r, 4) for r in records])
         with pytest.raises(ConditioningError, match=r"record 17.*condition estimate"):
             analyze_records(stack, 1.0, 3)
 
@@ -384,6 +384,35 @@ class TestAnalyzeRecords:
         with pytest.raises(ConditioningError) as excinfo:
             ls_gram_inverse(reg_mat)
         assert excinfo.value.condition > CONDITION_LIMIT
+
+    @pytest.mark.parametrize("rls", [False, True])
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_filters_longer_than_the_record(self, extra, rls):
+        # Lags d >= N do not overlap the record, so n_l = N + extra still
+        # gives the exact error trace.
+        rng = np.random.default_rng(32 + extra)
+        n, n_h, sigma2 = 8, 3, 0.3
+        reg = make_instance(rng, n, n_h)
+        h = FirModel(rng.standard_normal(n_h))
+        kernel = spline_kernel(n_h) if rls else None
+        quad = analyze_records(reg, sigma2, n + extra, kernel, h)[0]
+        for _ in range(5):
+            l = rng.standard_normal(n + extra)
+            band = build_filter_matrix(l, n)
+            direct = (
+                rls_mse(reg, h, kernel, band, sigma2) if rls else ls_covariance(reg, band, sigma2)
+            )
+            assert quad.evaluate(l) == pytest.approx(direct.trace, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma2", [-0.1, np.nan])
+    def test_invalid_measurement_noise_rejected(self, sigma2):
+        reg = build_regressor(np.arange(1.0, 11.0), 3)
+        with pytest.raises(ParameterError, match="sigma2"):
+            analyze_records(reg, sigma2, 2)
+        with pytest.raises(ParameterError, match="sigma2"):
+            ls_covariance(reg, sigma2=sigma2)
+        with pytest.raises(ParameterError, match="sigma2"):
+            rls_mse(reg, np.ones(3), spline_kernel(3), sigma2=sigma2)
 
     def test_regularized_analysis_requires_truth(self):
         reg = build_regressor(np.arange(1.0, 11.0), 3)
@@ -412,7 +441,7 @@ class TestSpdSolve:
         mat = (q * rng.uniform(1.0, 2.0, n_h) * np.logspace(0, log_cond, n_h)) @ q.T
         # The two right-hand sides of the package: an identity (inverse) and
         # the transposed regressor R' (the N columns of the RLS gain).
-        rt = build_regressor(rng.standard_normal(n), n_h).matrix.T
+        rt = build_regressor(rng.standard_normal(n), n_h).T
         for rhs in (np.eye(n_h), rt):
             np.testing.assert_array_equal(_spd_solve(mat, rhs), scipy_spd_solve(mat, rhs))
 
@@ -443,7 +472,7 @@ def regressor_grams(n_h, n, scaled, count=2000):
     r = rng.standard_normal((count, n))
     if scaled:
         r[:, 0] *= 1e-7
-    reg = build_regressor(r, n_h).matrix
+    reg = build_regressor(r, n_h)
     return np.einsum("bij,bik->bjk", reg, reg)
 
 

@@ -155,7 +155,7 @@ seed = 7
         h = reference_plant()
         r = generate_filtered_input(
             RationalFilter([1.0], [1.0, -0.95]), 200, seed=derive(3, "input")
-        ).samples
+        )
         kernel = Kernel(stable_spline_kernel(len(h), 0.7), eta=0.1)
         quad = rls_trace_quadratic(build_regressor(r, len(h)), h, kernel, 1.0, 10)
         expected = design_output_capped(quad, 1.0, 2.0)
@@ -191,7 +191,7 @@ seed = 7
 
 def dense_band_attack(h, r, estimator_map, ma_coeffs, mech, sigma2, seed, replicates):
     """Fixed-input attack formed in the output domain with the dense band matrix."""
-    mean_y = build_regressor(r, h.size).matrix @ h
+    mean_y = build_regressor(r, h.size) @ h
     n = mean_y.size
     band = build_filter_matrix(ma_coeffs, n).matrix if ma_coeffs is not None else None
     total = total_sq = 0.0
@@ -224,7 +224,7 @@ class TestFixedInputAttack:
         h = np.array([1.0, 0.7, 0.46])
         r = rng.standard_normal(30)
         reg = build_regressor(r, h.size)
-        estimator_map = reg.matrix @ ls_gram_inverse(reg)
+        estimator_map = reg @ ls_gram_inverse(reg)
         ma = rng.standard_normal(4) if channel.startswith("ma") else None
         mech = {
             "laplace": laplace_mechanism(1.5, 2.0),
@@ -233,7 +233,7 @@ class TestFixedInputAttack:
         sigma2 = 0.3 if channel.endswith("sigma2") else 0.0
         replicates = CHUNK + 100
         mean, se, failures = _fixed_input_attack(
-            h, reg.matrix @ h, estimator_map, ma, mech, sigma2, 9, replicates, threads=2
+            h, reg @ h, estimator_map, ma, mech, sigma2, 9, replicates, threads=2
         )
         ref_mean, ref_se = dense_band_attack(
             h, r, estimator_map, ma, mech, sigma2, 9, replicates
@@ -325,6 +325,17 @@ class TestCli:
         assert code == 0
         assert "lambda_y = 2" in captured
         assert (tmp_path / "design_output.csv").exists()
+
+    def test_filter_longer_than_the_record(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            LS_CONFIG.replace("input_length = 200", "input_length = 12")
+            .replace("noise_order = 10", "noise_order = 14")
+        )
+        code = main(["design-output", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "l_star_13 = " in captured.out
 
     def test_design_command_rejects_mismatched_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -12,7 +12,6 @@ from firpriv import (
     FirModel,
     ParameterError,
     RationalFilter,
-    SignalSeq,
     StabilityError,
     build_filter_matrix,
     build_regressor,
@@ -99,11 +98,11 @@ class TestFirTruncate:
 class TestBuildRegressor:
     def test_small_pattern(self):
         reg = build_regressor([1.0, 2.0, 3.0], 2)
-        np.testing.assert_allclose(reg.matrix, [[1, 0], [2, 1], [3, 2]], atol=0)
+        np.testing.assert_allclose(reg, [[1, 0], [2, 1], [3, 2]], atol=0)
 
     def test_single_column(self):
         reg = build_regressor([1.0, 0.0, 0.0, 0.0], 1)
-        np.testing.assert_allclose(reg.matrix, [[1], [0], [0], [0]], atol=0)
+        np.testing.assert_allclose(reg, [[1], [0], [0], [0]], atol=0)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(DimensionError):
@@ -116,7 +115,7 @@ class TestBuildRegressor:
         for _ in range(100):
             h = rng.standard_normal(5)
             np.testing.assert_allclose(
-                reg.matrix @ h, zero_state_convolution(r, h), rtol=0, atol=1e-12
+                reg @ h, zero_state_convolution(r, h), rtol=0, atol=1e-12
             )
 
     def test_toeplitz_entries(self):
@@ -126,20 +125,19 @@ class TestBuildRegressor:
         for i in range(11):
             for j in range(4):
                 expected = r[i - j] if i - j >= 0 else 0.0
-                assert reg.matrix[i, j] == expected
+                assert reg[i, j] == expected
 
     def test_stack_equals_single_builds_and_is_read_only(self):
         records = np.random.default_rng(3).standard_normal((4, 12))
         stack = build_regressor(records, 5)
-        assert stack.matrix.shape == (4, 12, 5)
-        assert (stack.n_samples, stack.n_coeffs) == (12, 5)
+        assert stack.shape == (4, 12, 5)
         for k, record in enumerate(records):
             single = build_regressor(record, 5)
-            np.testing.assert_array_equal(stack.matrix[k], single.matrix)
-            assert not single.matrix.flags.writeable
-        assert not stack.matrix.flags.writeable
+            np.testing.assert_array_equal(stack[k], single)
+            assert not single.flags.writeable
+        assert not stack.flags.writeable
         with pytest.raises(ValueError):
-            stack.matrix[0, 0, 0] = 1.0
+            stack[0, 0, 0] = 1.0
 
     def test_stack_rejects_non_finite_records(self):
         records = np.ones((2, 6))
@@ -253,7 +251,7 @@ class TestSimulate:
         r = rng.standard_normal(15)
         y = simulate(h, r, channel="output", l=np.zeros(3), sigma2=0.0, seed=9)
         np.testing.assert_allclose(
-            y.samples, build_regressor(r, 4).matrix @ h.coeffs, atol=1e-12
+            y, build_regressor(r, 4) @ h.coeffs, atol=1e-12
         )
 
     def test_masking_noise_matches_band_model(self):
@@ -262,9 +260,9 @@ class TestSimulate:
         h = FirModel(rng.standard_normal(3))
         r = rng.standard_normal(40)
         l = rng.standard_normal(4)
-        mean = build_regressor(r, 3).matrix @ h.coeffs
+        mean = build_regressor(r, 3) @ h.coeffs
         for channel, coeffs in (("output", l), ("input", np.convolve(h.coeffs, l))):
-            y = simulate(h, r, channel=channel, l=l, sigma2=0.0, seed=21).samples
+            y = simulate(h, r, channel=channel, l=l, sigma2=0.0, seed=21)
             v = stream(21, "v").standard_normal(40 + coeffs.size - 1)
             np.testing.assert_allclose(
                 y, mean + build_filter_matrix(coeffs, 40).matrix @ v, rtol=0, atol=1e-12
@@ -278,7 +276,7 @@ class TestSimulate:
         n = 400
         samples = np.concatenate(
             [
-                simulate(h, np.zeros(n), channel="output", l=l, sigma2=sigma2, seed=k).samples
+                simulate(h, np.zeros(n), channel="output", l=l, sigma2=sigma2, seed=k)
                 for k in range(500)
             ]
         )
@@ -292,7 +290,7 @@ class TestSimulate:
         n = 400
         samples = np.concatenate(
             [
-                simulate(h, np.zeros(n), channel="input", l=l, sigma2=0.0, seed=k).samples
+                simulate(h, np.zeros(n), channel="input", l=l, sigma2=0.0, seed=k)
                 for k in range(500)
             ]
         )
@@ -303,31 +301,19 @@ class TestSimulate:
         r = np.arange(1.0, 13.0)
         a = simulate(h, r, channel="output", l=[0.3, 0.1], sigma2=0.2, seed=123)
         b = simulate(h, r, channel="output", l=[0.3, 0.1], sigma2=0.2, seed=123)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        np.testing.assert_array_equal(a, b)
+        assert not a.flags.writeable
 
     def test_seed_changes_noise_not_mean(self):
         h = FirModel([1.0, -0.4])
         r = np.arange(1.0, 13.0)
-        mean = build_regressor(r, 2).matrix @ h.coeffs
+        mean = build_regressor(r, 2) @ h.coeffs
         a = simulate(h, r, channel="output", l=[0.3, 0.1], sigma2=0.2, seed=1)
         b = simulate(h, r, channel="output", l=[0.3, 0.1], sigma2=0.2, seed=2)
-        assert not np.array_equal(a.samples, b.samples)
+        assert not np.array_equal(a, b)
         # Noise-free part is common to both.
         noiseless = simulate(h, r, channel="none", sigma2=0.0, seed=7)
-        np.testing.assert_allclose(noiseless.samples, mean, atol=1e-12)
-
-    def test_uniform_driver_variance(self):
-        h = FirModel([1.0])
-        l = np.array([1.0])
-        samples = np.concatenate(
-            [
-                simulate(h, np.zeros(200), channel="output", l=l, sigma2=0.0, seed=k,
-                         dist="uniform").samples
-                for k in range(250)
-            ]
-        )
-        assert np.mean(samples**2) == pytest.approx(1.0, rel=0.02)
-        assert np.max(np.abs(samples)) <= np.sqrt(3.0) + 1e-12
+        np.testing.assert_allclose(noiseless, mean, atol=1e-12)
 
     def test_channel_validation(self):
         h = FirModel([1.0])
@@ -338,38 +324,33 @@ class TestSimulate:
         with pytest.raises(ParameterError):
             simulate(h, np.ones(3), channel="none", sigma2=-1.0)
 
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ParameterError):
+            simulate(FirModel([1.0]), [1.0, np.nan])
+        with pytest.raises(ParameterError):
+            FirModel([np.inf])
+
 
 class TestGenerateFilteredInput:
     def test_identity_filter_returns_raw_white(self):
         out = generate_filtered_input(RationalFilter.identity(), 64, seed=5)
         raw = stream(5, "input-white").standard_normal(64)
-        np.testing.assert_array_equal(out.samples, raw)
+        np.testing.assert_array_equal(out, raw)
+        assert not out.flags.writeable
 
     def test_ar1_lag_one_autocorrelation(self):
         out = generate_filtered_input(
             RationalFilter([1.0], [1.0, -0.95]), 100_000, seed=11
-        ).samples
+        )
         x = out - out.mean()
         rho = float(np.dot(x[1:], x[:-1]) / np.dot(x, x))
         assert rho == pytest.approx(0.95, abs=0.01)
 
     def test_deterministic_in_seed(self):
         w = RationalFilter([1.0], [1.0, -0.5])
-        a = generate_filtered_input(w, 100, seed=3).samples
-        b = generate_filtered_input(w, 100, seed=3).samples
+        a = generate_filtered_input(w, 100, seed=3)
+        b = generate_filtered_input(w, 100, seed=3)
         np.testing.assert_array_equal(a, b)
-
-
-class TestSignalSeq:
-    def test_label_validation(self):
-        with pytest.raises(ParameterError):
-            SignalSeq([1.0, 2.0], label="bogus")
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ParameterError):
-            SignalSeq([1.0, np.nan])
-        with pytest.raises(ParameterError):
-            FirModel([np.inf])
 
 
 class TestLfilterMatchesScipy:
@@ -440,7 +421,7 @@ class TestLfilterMatchesScipy:
         for num, den in (([1.0], [1.0, -0.95]), (REF_NUM, REF_DEN)):
             out = generate_filtered_input(RationalFilter(num, den), 2000, seed=4)
             white = stream(4, "input-white").standard_normal(2000)
-            assert np.array_equal(out.samples, lfilter(num, den, white))
+            assert np.array_equal(out, lfilter(num, den, white))
 
 
 def test_cli_import_skips_scipy_signal_and_stats():

@@ -76,7 +76,7 @@ class TestSensitivities:
             n_h = int(rng.integers(1, 4))
             r = rng.standard_normal(n)
             box = CoefficientBox(0.0, 1.0, n_h)
-            reg = build_regressor(r, n_h).matrix
+            reg = build_regressor(r, n_h)
             best_l1 = 0.0
             best_l2 = 0.0
             base = rng.uniform(0.0, 1.0, n_h)
@@ -302,3 +302,14 @@ class TestPrivacyAudit:
             privacy_audit(np.ones(5), box, epsilon=1.0, b=1.0)
         with pytest.raises(AuditSizeError):
             privacy_audit(np.ones(4), CoefficientBox(0.0, 1.0, 3), epsilon=1.0, b=1.0)
+
+
+@pytest.mark.parametrize("sigma2", [-0.1, math.nan])
+def test_invalid_measurement_noise_rejected(sigma2):
+    box = CoefficientBox(0.0, 1.0, 2)
+    with pytest.raises(ParameterError, match="sigma2"):
+        privacy_audit([1.0, -0.5, 0.3], box, epsilon=1.0, b=1.0, sigma2=sigma2)
+    with pytest.raises(ParameterError, match="sigma2"):
+        laplace_mechanism(1.0, 1.0, sigma2=sigma2)
+    with pytest.raises(ParameterError, match="sigma2"):
+        gaussian_mechanism(1.0, 1e-5, 1.0, sigma2=sigma2)
