@@ -151,7 +151,7 @@ def design_output_weighted(quadratic, gamma2: float, sigma2: Optional[float] = N
     squared norm ``1/sqrt(gamma2 * lam1) - offset/lam1``.
     """
     quad = _check_quadratic(quadratic)
-    if gamma2 <= 0:
+    if not gamma2 > 0:
         raise ParameterError(f"gamma2 must be > 0, got {gamma2}")
     if quad.offset <= 0:
         raise ParameterError(f"quadratic offset must be > 0, got {quad.offset}")

@@ -62,7 +62,15 @@ from .privacy import (
 from .rng import derive, stream
 
 #: Replicates per Monte Carlo work unit; fixed so results do not depend on threads.
+#: Each chunk has its own stream and its own error sums, reduced in chunk order.
 CHUNK = 8192
+
+#: Multiply-adds per noise block folded by a fixed-input attack worker.  A
+#: GEMM of at most 65536 * 4 multiply-adds (OpenBLAS's default threading
+#: cut-off) runs on the calling thread, so the chunk workers are the attack's
+#: only parallelism.  A block holds at most FOLD_MACS / n_h draws (2 MB), or
+#: one row where a row is longer.
+FOLD_MACS = 2**18
 
 # Reference scenario parameters (shared by `reproduce` and the acceptance suite).
 REFERENCE_PLANT_NUM = (1.0, -0.2)
@@ -196,10 +204,18 @@ def _fixed_input_attack(
     ``mean_y`` is the record's noiseless output ``R h``.  Every replicate
     draws fresh MA driving noise ``v``, mechanism noise and measurement
     noise ``e`` and applies the estimator map E to its output record.  The
-    map is linear, so each noise channel is folded through E once per
-    attack: the error is ``(R h E - h) + v (L'E) + mech E + sigma e E`` with
-    ``L'E`` from :meth:`BandedFilterMatrix.adjoint` in O(N*m*n_h).  The draws
-    are those of the output-domain form; the dense band is never built.
+    map is linear, so the error is ``(R h E - h) + v (L'E) + mech E +
+    sigma (e E)``, with ``L'E`` from :meth:`BandedFilterMatrix.adjoint` in
+    O(N*m*n_h); the dense band is never built.
+
+    A worker draws each channel in row blocks of at most ``FOLD_MACS``
+    multiply-adds through its map and adds each block's product to its rows
+    of the error at once.  Its memory is the (CHUNK, n_h) error plus one
+    block, whatever the record length.  Blocks are sized in multiply-adds,
+    not bytes, because that is what keeps a product on one BLAS thread.  The
+    draws come in the order of whole-chunk draws (all ``v`` rows, then the
+    mechanism, then ``e``), so a block size changes no draw; only the last
+    bits of the products can change with it.
     """
     n = mean_y.size
     bias = mean_y @ estimator_map - h
@@ -213,12 +229,19 @@ def _fixed_input_attack(
     def worker(chunk_idx: int, count: int):
         gen = stream(seed, "attack", chunk_idx)
         err = np.tile(bias, (count, 1))
+
+        def fold(draw, fmap, scale=1.0):
+            rows = max(1, FOLD_MACS // fmap.size)
+            for start in range(0, count, rows):
+                block = draw((min(rows, count - start), fmap.shape[0]))
+                err[start : start + rows] += scale * (block @ fmap)
+
         if band_map is not None:
-            err += gen.standard_normal((count, band_map.shape[0])) @ band_map
+            fold(gen.standard_normal, band_map)
         if mech is not None:
-            err += _draw_mechanism(gen, mech, (count, n)) @ estimator_map
+            fold(lambda shape: _draw_mechanism(gen, mech, shape), estimator_map)
         if sigma > 0:
-            err += sigma * (gen.standard_normal((count, n)) @ estimator_map)
+            fold(gen.standard_normal, estimator_map, sigma)
         sq = np.einsum("bj,bj->b", err, err)
         return float(sq.sum()), float((sq * sq).sum()), count
 

@@ -30,7 +30,9 @@ class CoefficientBox:
     n_h: int
 
     def __post_init__(self):
-        if self.lower > self.upper:
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ParameterError(f"box bounds must be finite, got [{self.lower}, {self.upper}]")
+        if not self.lower <= self.upper:
             raise ParameterError(f"box lower {self.lower} exceeds upper {self.upper}")
         if self.n_h < 1:
             raise ParameterError(f"n_h must be >= 1, got {self.n_h}")

@@ -164,6 +164,10 @@ class TestDesignOutputWeighted:
         with pytest.raises(ParameterError):
             design_output_weighted(TraceQuadratic(matrix=np.eye(2), offset=1.0), gamma2=0.0)
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ParameterError, match="gamma2"):
+            design_output_weighted(TraceQuadratic(matrix=np.eye(2), offset=1.0), gamma2=np.nan)
+
 
 class TestNonpositiveSigma2:
     """Every variance-capped or weighted design reports rho = lambda_y / sigma2."""

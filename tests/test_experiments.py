@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from firpriv import (
     stable_spline_kernel,
     stream,
 )
+from firpriv import experiments
 from firpriv.cli import main
 from firpriv.experiments import CHUNK, _fixed_input_attack, reference_plant, rows_to_csv
 
@@ -215,6 +217,16 @@ def dense_band_attack(h, r, estimator_map, ma_coeffs, mech, sigma2, seed, replic
     return mean, np.sqrt((total_sq / replicates - mean * mean) / replicates)
 
 
+def attack_inputs(n, channel):
+    """Reference-plant record of length n and the noise of one attack channel."""
+    rng = np.random.default_rng(21)
+    h = reference_plant().coeffs
+    reg = build_regressor(rng.standard_normal(n), h.size)
+    ma = rng.standard_normal(10) if channel.startswith("ma") else None
+    mech = laplace_mechanism(1.5, 2.0) if channel.startswith("laplace") else None
+    return h, reg @ h, reg @ ls_gram_inverse(reg), ma, mech
+
+
 class TestFixedInputAttack:
     @pytest.mark.parametrize(
         "channel", ["ma", "ma+sigma2", "laplace+sigma2", "gaussian+sigma2", "sigma2"]
@@ -252,6 +264,27 @@ class TestFixedInputAttack:
         assert report.ratio == float("inf")
         assert report.mechanism.lambda_y == pytest.approx(2 * report.mechanism.scale**2)
         assert abs(report.empirical_trace - report.predicted_trace) <= 3 * report.empirical_se
+
+    @pytest.mark.parametrize("channel", ["ma+sigma2", "laplace+sigma2"])
+    def test_chunk_memory_does_not_grow_with_the_record(self, channel):
+        h, mean_y, estimator_map, ma, mech = attack_inputs(2000, channel)
+        tracemalloc.start()
+        try:
+            _fixed_input_attack(h, mean_y, estimator_map, ma, mech, 0.3, 9, CHUNK, threads=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One whole-chunk draw at this length alone is CHUNK * 2000 * 8 B = 131 MB.
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("channel", ["ma+sigma2", "laplace+sigma2"])
+    def test_block_size_does_not_change_results(self, channel, monkeypatch):
+        h, mean_y, estimator_map, ma, mech = attack_inputs(300, channel)
+        args = (h, mean_y, estimator_map, ma, mech, 0.3, 9, CHUNK + 100)
+        folded = _fixed_input_attack(*args, threads=2)
+        monkeypatch.setattr(experiments, "FOLD_MACS", 2**62)  # one block per chunk
+        whole = _fixed_input_attack(*args, threads=2)
+        assert folded == pytest.approx(whole, rel=1e-12)
 
 
 class TestThreadCount:
@@ -456,6 +489,15 @@ class TestCli:
             attack_simulation(parse_config(cfg))
         assert main(["dp-laplace", "--config", str(cfg)]) == 1
         assert "inputs.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "finite, bound", [("dp_lower = 0", "dp_lower = nan"), ("dp_upper = 1", "dp_upper = inf")]
+    )
+    def test_non_finite_box_bound_exit_code(self, finite, bound, tmp_path, capsys):
+        cfg = tmp_path / "dp.cfg"
+        cfg.write_text(DP_CONFIG.replace(finite, bound))
+        assert main(["dp-laplace", "--config", str(cfg)]) == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

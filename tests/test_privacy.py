@@ -103,6 +103,14 @@ class TestSensitivities:
         with pytest.raises(ParameterError):
             CoefficientBox(1.0, 0.0, 2)
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf), (math.nan, math.nan)],
+    )
+    def test_box_rejects_non_finite_bounds(self, lower, upper):
+        with pytest.raises(ParameterError, match="finite"):
+            CoefficientBox(lower, upper, 2)
+
 
 class TestLaplaceMechanism:
     def test_formula_plug_in(self):
