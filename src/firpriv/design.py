@@ -36,7 +36,7 @@ from .estimators import (
     ls_trace_quadratic,
     rls_trace_quadratic,
 )
-from .lti import FirModel, _check_noise_variance, _samples, build_regressor, convolution_matrix
+from .lti import FirModel, _check_finite, _samples, build_regressor, convolution_matrix
 from .rng import stream
 
 logger = logging.getLogger(__name__)
@@ -93,16 +93,11 @@ def _check_quadratic(quadratic: TraceQuadratic) -> TraceQuadratic:
     return quadratic
 
 
-def _check_sigma2(sigma2: float) -> None:
-    # The designs report rho = lambda_y / sigma2.
-    if not sigma2 > 0:
-        raise ParameterError(f"sigma2 must be > 0, got {sigma2}")
-
-
 def _check_budget(sigma2: float, gamma1: float) -> None:
-    _check_sigma2(sigma2)
+    _check_finite("sigma2", sigma2, 0.0, strict=True)  # the designs report lambda_y / sigma2
     if not gamma1 > sigma2:  # NaN fails too
         raise BudgetError(f"gamma1={gamma1} must strictly exceed sigma2={sigma2}")
+    _check_finite("gamma1", gamma1)
 
 
 def _unmasked(offset: float, sigma2: float, n_l: int, lam1: float) -> DesignResult:
@@ -151,12 +146,11 @@ def design_output_weighted(quadratic, gamma2: float, sigma2: Optional[float] = N
     squared norm ``1/sqrt(gamma2 * lam1) - offset/lam1``.
     """
     quad = _check_quadratic(quadratic)
-    if not gamma2 > 0:
-        raise ParameterError(f"gamma2 must be > 0, got {gamma2}")
+    _check_finite("gamma2", gamma2, 0.0, strict=True)
     if quad.offset <= 0:
         raise ParameterError(f"quadratic offset must be > 0, got {quad.offset}")
     if sigma2 is not None:
-        _check_sigma2(sigma2)
+        _check_finite("sigma2", sigma2, 0.0, strict=True)
     lam1, v1, degenerate = _top_eigenpair(quad.matrix)
     c = quad.offset
     if lam1 <= gamma2 * c * c:
@@ -307,7 +301,7 @@ def estimate_expected_quadratic(
     """
     if n_l < 1:
         raise ParameterError(f"n_l must be >= 1, got {n_l}")
-    _check_noise_variance(sigma2)
+    _check_finite("sigma2", sigma2, 0.0)
     if np.any(model.lengths < n_h):
         raise ParameterError(
             f"all support lengths must be >= n_h={n_h}, min is {int(model.lengths.min())}"

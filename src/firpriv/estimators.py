@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConditioningError, DimensionError, ParameterError, SingularKernelError
-from .lti import BandedFilterMatrix, FirModel, _check_noise_variance, _samples
+from .lti import BandedFilterMatrix, FirModel, _check_finite, _samples
 
 #: Solves are rejected when the normal-equation condition estimate exceeds this.
 CONDITION_LIMIT = 1e12
@@ -264,7 +264,7 @@ def ls_covariance(R, noise_matrix=None, sigma2: float = 0.0) -> ErrorReport:
     With no masking noise the covariance is ``sigma2 * inv(R'R)``; with a
     banded filter matrix L it is ``inv(R'R) R' (L L' + sigma2 I) R inv(R'R)``.
     """
-    _check_noise_variance(sigma2)
+    _check_finite("sigma2", sigma2, 0.0)
     Rm = np.asarray(R, dtype=float)
     ginv = ls_gram_inverse(Rm)
     cov = sigma2 * ginv
@@ -340,7 +340,7 @@ def rls_mse(
     Includes the regularization bias term, which depends on the true
     coefficients; the noise terms mirror :func:`ls_covariance`.
     """
-    _check_noise_variance(sigma2)
+    _check_finite("sigma2", sigma2, 0.0)
     Rm = np.asarray(R, dtype=float)
     C = rls_gain(R, kernel)
     h = _samples(h_true)
@@ -394,7 +394,7 @@ def analyze_records(
     """
     if n_l < 1:
         raise ParameterError(f"n_l must be >= 1, got {n_l}")
-    _check_noise_variance(sigma2)
+    _check_finite("sigma2", sigma2, 0.0)
     Rs, _ = _regressor_stack(R)
     if kernel is None:
         gram_inv = ls_gram_inverse(Rs)

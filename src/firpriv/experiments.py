@@ -47,6 +47,7 @@ from .lti import (
     RationalFilter,
     build_filter_matrix,
     build_regressor,
+    factor_adjoint,
     generate_filtered_input,
     impulse_response,
 )
@@ -61,13 +62,18 @@ from .privacy import (
 )
 from .rng import derive, stream
 
-#: Replicates per Monte Carlo work unit; fixed so results do not depend on threads.
-#: Each chunk has its own stream and its own error sums, reduced in chunk order.
+#: Replicates per random-input attack work unit; fixed so results do not depend on threads.
+#: Each chunk has its own stream and its own error sums, reduced in chunk order.  The
+#: ``reproduce --which random`` CSV reports these draws, so the size stays.
 CHUNK = 8192
+
+#: Replicates per fixed-input attack work unit, small enough that the units
+#: of a few thousand replicates spread evenly over the threads.
+ATTACK_UNIT = 1024
 
 #: Multiply-adds per noise block folded by a fixed-input attack worker.  A
 #: GEMM of at most 65536 * 4 multiply-adds (OpenBLAS's default threading
-#: cut-off) runs on the calling thread, so the chunk workers are the attack's
+#: cut-off) runs on the calling thread, so the work units are the attack's
 #: only parallelism.  A block holds at most FOLD_MACS / n_h draws (2 MB), or
 #: one row where a row is longer.
 FOLD_MACS = 2**18
@@ -160,18 +166,14 @@ def _resolve_kernel(config: ExperimentConfig, n_h: int) -> Optional[Kernel]:
     return Kernel(stable_spline_kernel(n_h, config.rls_beta), eta=config.rls_eta)
 
 
-def _chunks(total: int):
-    return [(idx, min(CHUNK, total - idx * CHUNK)) for idx in range((total + CHUNK - 1) // CHUNK)]
-
-
 def _check_threads(threads: Optional[int]) -> None:
     if threads is not None and threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
 
 
-def _run_chunks(worker, total: int, threads: Optional[int]):
-    """Map ``worker`` over fixed-size chunks; reduction order is by chunk index."""
-    plan = _chunks(total)
+def _run_chunks(worker, total: int, threads: Optional[int], size: int = CHUNK):
+    """Map ``worker`` over chunks of ``size``; reduction order is by chunk index."""
+    plan = [(idx, min(size, total - idx * size)) for idx in range((total + size - 1) // size)]
     if threads is not None and threads > 1 and len(plan) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda spec: worker(*spec), plan))
@@ -201,51 +203,49 @@ def _fixed_input_attack(
 ):
     """Empirical error trace over repeated attacks on a fixed input record.
 
-    ``mean_y`` is the record's noiseless output ``R h``.  Every replicate
-    draws fresh MA driving noise ``v``, mechanism noise and measurement
-    noise ``e`` and applies the estimator map E to its output record.  The
-    map is linear, so the error is ``(R h E - h) + v (L'E) + mech E +
-    sigma (e E)``, with ``L'E`` from :meth:`BandedFilterMatrix.adjoint` in
-    O(N*m*n_h); the dense band is never built.
+    ``mean_y`` is the record's noiseless output ``R h``.  The Gaussian output
+    noise, MA noise ``L v`` plus white noise of variance ``w`` (``sigma2``
+    plus a Gaussian mechanism's variance), has covariance ``LL' + wI``, so
+    each replicate draws it whole as ``C z``: N standard normals ``z``
+    through the banded factor C of :meth:`BandedFilterMatrix.noise_factor`,
+    or ``sqrt(w) I`` without a filter.  The estimator map E is linear, so the
+    error is ``(R h E - h) + z (C'E) + lap E`` with Laplace mechanism noise
+    ``lap``; ``C'E`` takes O(N*m*n_h) and the dense band is never built.
 
-    A worker draws each channel in row blocks of at most ``FOLD_MACS``
-    multiply-adds through its map and adds each block's product to its rows
-    of the error at once.  Its memory is the (CHUNK, n_h) error plus one
-    block, whatever the record length.  Blocks are sized in multiply-adds,
-    not bytes, because that is what keeps a product on one BLAS thread.  The
-    draws come in the order of whole-chunk draws (all ``v`` rows, then the
-    mechanism, then ``e``), so a block size changes no draw; only the last
-    bits of the products can change with it.
+    Work units of ``ATTACK_UNIT`` replicates each have their own
+    ``stream(seed, "attack", unit)``, which gives all ``z`` rows and then the
+    ``lap`` rows, and their own sums, reduced in unit order.  A worker draws
+    each channel in row blocks of at most ``FOLD_MACS`` multiply-adds and
+    adds each block's product with its map to the error at once, so its
+    memory does not grow with N; a block size changes no draw.
     """
     n = mean_y.size
     bias = mean_y @ estimator_map - h
-    band_map = (
-        build_filter_matrix(ma_coeffs, n).adjoint(estimator_map)
-        if ma_coeffs is not None
-        else None
-    )
-    sigma = np.sqrt(sigma2)
+    laplace = mech if mech is not None and mech.kind == "laplace" else None
+    w = sigma2 + (mech.noise_variance if mech is not None and laplace is None else 0.0)
+    if ma_coeffs is not None:
+        noise_map = factor_adjoint(build_filter_matrix(ma_coeffs, n).noise_factor(w), estimator_map)
+    else:
+        noise_map = np.sqrt(w) * estimator_map if w > 0 else None
 
-    def worker(chunk_idx: int, count: int):
-        gen = stream(seed, "attack", chunk_idx)
+    def worker(unit: int, count: int):
+        gen = stream(seed, "attack", unit)
         err = np.tile(bias, (count, 1))
 
-        def fold(draw, fmap, scale=1.0):
+        def fold(draw, fmap):
             rows = max(1, FOLD_MACS // fmap.size)
             for start in range(0, count, rows):
                 block = draw((min(rows, count - start), fmap.shape[0]))
-                err[start : start + rows] += scale * (block @ fmap)
+                err[start : start + rows] += block @ fmap
 
-        if band_map is not None:
-            fold(gen.standard_normal, band_map)
-        if mech is not None:
-            fold(lambda shape: _draw_mechanism(gen, mech, shape), estimator_map)
-        if sigma > 0:
-            fold(gen.standard_normal, estimator_map, sigma)
+        if noise_map is not None:
+            fold(gen.standard_normal, noise_map)
+        if laplace is not None:
+            fold(lambda shape: _draw_mechanism(gen, laplace, shape), estimator_map)
         sq = np.einsum("bj,bj->b", err, err)
         return float(sq.sum()), float((sq * sq).sum()), count
 
-    return (*_mean_and_se(_run_chunks(worker, replicates, threads)), 0)
+    return (*_mean_and_se(_run_chunks(worker, replicates, threads, ATTACK_UNIT)), 0)
 
 
 def _random_input_attack(
@@ -442,10 +442,8 @@ def _deterministic_traces(seed: int, realizations: int, rls: bool):
         if rls
         else None
     )
-    records = np.stack([
-        generate_filtered_input(w, params["n_samples"], seed=derive(seed, "det-input", k))
-        for k in range(realizations)
-    ])
+    seeds = [derive(seed, "det-input", k) for k in range(realizations)]
+    records = generate_filtered_input(w, params["n_samples"], seed=seeds)
     quads = analyze_records(
         build_regressor(records, len(h)), params["sigma2"], params["n_l"], kernel, h
     )

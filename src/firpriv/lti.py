@@ -12,11 +12,13 @@ Conventions used throughout:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf
 
-from .errors import DimensionError, ParameterError, StabilityError
+from .errors import ConditioningError, DimensionError, ParameterError, StabilityError
 from .rng import stream
 
 #: Tolerance on |pole| < 1 used by the stability check.
@@ -37,9 +39,11 @@ def _as_vector(x, name: str) -> np.ndarray:
     return arr
 
 
-def _check_noise_variance(sigma2: float) -> None:
-    if not sigma2 >= 0:  # NaN fails too
-        raise ParameterError(f"sigma2 must be >= 0, got {sigma2}")
+def _check_finite(name: str, value: float, lower: float = -math.inf, strict: bool = False) -> None:
+    """``ParameterError`` unless ``value`` is finite and ``>= lower`` (``> lower`` if strict)."""
+    if not (math.isfinite(value) and (value > lower if strict else value >= lower)):
+        bound = f" and {'>' if strict else '>='} {lower:g}" if lower > -math.inf else ""
+        raise ParameterError(f"{name} must be finite{bound}, got {value}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -109,6 +113,23 @@ def _samples(x) -> np.ndarray:
     return _as_vector(x, "signal")
 
 
+def _shifted_adds(x, n_in: int, n_out: int, terms) -> np.ndarray:
+    """(n_out, k) sum of ``weight * x[lo:]`` placed from row ``at`` over ``(at, lo, weight)``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != n_in:
+        raise DimensionError(f"need an ({n_in}, k) block, got shape {x.shape}")
+    out = np.zeros((n_out, x.shape[1]))
+    for at, lo, weight in terms:
+        out[at : at + n_in - lo] += weight * x[lo:]
+    return out
+
+
+def factor_adjoint(bands: np.ndarray, x) -> np.ndarray:
+    """``C.T @ x`` for an (N, k) block and C given as ``bands[k, j] = C[j+k, j]``."""
+    n = bands.shape[1]
+    return _shifted_adds(x, n, n, ((0, k, c[: n - k, None]) for k, c in enumerate(bands)))
+
+
 @dataclass(frozen=True)
 class BandedFilterMatrix:
     """Banded matrix L mapping a white vector to moving-average noise.
@@ -119,7 +140,7 @@ class BandedFilterMatrix:
 
     Only the coefficients and the row count are stored.  The dense
     N x (N+m-1) ``matrix`` is built, read-only, on first access;
-    :meth:`adjoint` applies ``L'`` in O(N*m) per column without it.
+    :meth:`adjoint` and :meth:`noise_factor` work without it.
     """
 
     coeffs: np.ndarray = field(repr=False)
@@ -140,15 +161,24 @@ class BandedFilterMatrix:
 
     def adjoint(self, x) -> np.ndarray:
         """``matrix.T @ x`` for an (N, k) block, by m shifted adds."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[0] != self.n_samples:
-            raise DimensionError(
-                f"adjoint needs an ({self.n_samples}, k) block, got shape {x.shape}"
-            )
-        out = np.zeros((self.n_samples + self.coeffs.size - 1, x.shape[1]))
-        for k, c in enumerate(self.coeffs[::-1]):
-            out[k : k + self.n_samples] += c * x
-        return out
+        n = self.n_samples
+        terms = ((k, 0, c) for k, c in enumerate(self.coeffs[::-1]))
+        return _shifted_adds(x, n, n + self.coeffs.size - 1, terms)
+
+    def noise_factor(self, w: float) -> np.ndarray:
+        """Cholesky factor C of ``matrix @ matrix.T + w*I`` in LAPACK lower band storage.
+
+        That matrix is Toeplitz in the autocovariance ``rho_d = sum_a l_a l_{a+d}``,
+        d < min(m, N), so ``dpbtrf`` factors it in O(N*m^2) without the dense band.
+        """
+        m, n = self.coeffs.size, self.n_samples
+        rho = np.correlate(self.coeffs, self.coeffs, "full")[m - 1 : m - 1 + min(m, n)]
+        ab = np.repeat(rho[:, None], n, axis=1)
+        ab[0] += w
+        bands, info = dpbtrf(ab, lower=1)
+        if info != 0:
+            raise ConditioningError(f"noise covariance not positive definite (dpbtrf info {info})")
+        return _readonly(bands)
 
 
 def _lfilter(num, den, x):
@@ -159,18 +189,21 @@ def _lfilter(num, den, x):
     divided by ``den[0]`` and the shorter is zero-padded to length m; then,
     per sample, ``y = z[0] + b[0]*x``, ``z[k] = (z[k+1] + x*b[k+1]) - y*a[k+1]``
     and ``z[m-2] = x*b[m-1] - y*a[m-1]``.  A one-entry ``den`` takes scipy's
-    convolution path instead.
+    convolution path instead.  A (b, N) stack runs the recursion on NumPy
+    columns, in the same order, so each row has its one-record bits.
     """
     b = np.asarray(num, dtype=float)
     a = np.asarray(den, dtype=float)
     x = np.asarray(x, dtype=float)
     if a.size == 1:
-        return np.convolve(b / a[0], x)[: x.size]
+        rows = [np.convolve(b / a[0], row)[: x.shape[-1]] for row in np.atleast_2d(x)]
+        return np.array(rows).reshape(x.shape)
 
     m = max(a.size, b.size)
     a0 = a[0]
     b = (np.concatenate([b, np.zeros(m - b.size)]) / a0).tolist()
     a = (np.concatenate([a, np.zeros(m - a.size)]) / a0).tolist()
+    samples = x.tolist() if x.ndim == 1 else np.ascontiguousarray(x.T)
     out = []
     append = out.append
     b0 = b[0]
@@ -178,20 +211,20 @@ def _lfilter(num, den, x):
         # First order: every AR(1) input record takes this loop.
         b1, a1 = b[1], a[1]
         state = 0.0
-        for xk in x.tolist():
+        for xk in samples:
             yk = state + b0 * xk
             state = xk * b1 - yk * a1
             append(yk)
     else:
         z = [0.0] * (m - 1)
         last = m - 2
-        for xk in x.tolist():
+        for xk in samples:
             yk = z[0] + b0 * xk
             for k in range(last):
                 z[k] = (z[k + 1] + xk * b[k + 1]) - yk * a[k + 1]
             z[last] = xk * b[m - 1] - yk * a[m - 1]
             append(yk)
-    return np.array(out, dtype=float)
+    return np.array(out, dtype=float).T
 
 
 def impulse_response(g: RationalFilter, n: int) -> np.ndarray:
@@ -322,7 +355,7 @@ def simulate(
     filter memory and the record follows the banded-matrix model; the MA
     filter is applied as a valid-mode convolution in O(N*m).
     """
-    _check_noise_variance(sigma2)
+    _check_finite("sigma2", sigma2, 0.0)
     samples = _samples(r)
     y = build_regressor(samples, len(h)) @ h.coeffs
     n = samples.size
@@ -342,10 +375,14 @@ def simulate(
     return _readonly(y)
 
 
-def generate_filtered_input(w_filter: RationalFilter, n_samples: int, seed: int = 0) -> np.ndarray:
-    """Read-only unit-variance white Gaussian noise shaped by ``w_filter`` (zero initial state)."""
+def generate_filtered_input(w_filter: RationalFilter, n_samples: int, seed=0) -> np.ndarray:
+    """Read-only unit-variance white Gaussian noise shaped by ``w_filter`` (zero initial state).
+
+    A sequence of seeds gives a stack of records, one per seed, filtered in one pass.
+    """
     if n_samples < 1:
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
-    white = stream(seed, "input-white").standard_normal(n_samples)
-    shaped = _lfilter(w_filter.numerator, w_filter.denominator, white)
-    return _readonly(shaped)
+    seeds = seed if np.ndim(seed) else [seed]
+    white = [stream(s, "input-white").standard_normal(n_samples) for s in seeds]
+    white = np.reshape(white, np.shape(seed) + (n_samples,))
+    return _readonly(_lfilter(w_filter.numerator, w_filter.denominator, white))

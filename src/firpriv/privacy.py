@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtri
 
 from .errors import AuditSizeError, ParameterError
-from .lti import _check_noise_variance, _samples, build_regressor
+from .lti import _check_finite, _samples, build_regressor
 from .rng import stream
 
 #: Output grid size of the exhaustive density audit.
@@ -30,8 +30,8 @@ class CoefficientBox:
     n_h: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ParameterError(f"box bounds must be finite, got [{self.lower}, {self.upper}]")
+        _check_finite("box lower bound", self.lower)
+        _check_finite("box upper bound", self.upper)
         if not self.lower <= self.upper:
             raise ParameterError(f"box lower {self.lower} exceeds upper {self.upper}")
         if self.n_h < 1:
@@ -61,8 +61,7 @@ class DpMechanism:
     def __post_init__(self):
         if self.kind not in ("laplace", "gaussian"):
             raise ParameterError(f"kind must be laplace or gaussian, got {self.kind!r}")
-        if not self.epsilon > 0:
-            raise ParameterError(f"epsilon must be > 0, got {self.epsilon}")
+        _check_finite("epsilon", self.epsilon, 0.0, strict=True)
         if self.kind == "laplace":
             if self.delta != 0.0:
                 raise ParameterError("laplace mechanism has delta = 0")
@@ -103,11 +102,9 @@ def l2_sensitivity(r, box: CoefficientBox) -> float:
 
 def laplace_mechanism(epsilon: float, sensitivity: float, sigma2: float = 0.0) -> DpMechanism:
     """Tightest Laplace scale achieving epsilon-privacy for the given sensitivity."""
-    if not epsilon > 0:
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
-    if sensitivity < 0:
-        raise ParameterError(f"sensitivity must be >= 0, got {sensitivity}")
-    _check_noise_variance(sigma2)
+    _check_finite("epsilon", epsilon, 0.0, strict=True)
+    _check_finite("sensitivity", sensitivity, 0.0)
+    _check_finite("sigma2", sigma2, 0.0)
     scale = sensitivity / epsilon
     return DpMechanism(
         kind="laplace",
@@ -137,8 +134,7 @@ def gaussian_noise_multiplier(epsilon: float, delta: float) -> float:
     Equals ``(q + sqrt(q^2 + 2 epsilon)) / 2`` with ``q`` the Gaussian tail
     inverse at delta; strictly increasing in epsilon and decreasing in delta.
     """
-    if not epsilon > 0:
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
+    _check_finite("epsilon", epsilon, 0.0, strict=True)
     q = gaussian_tail_inverse(delta)
     return (q + math.sqrt(q * q + 2.0 * epsilon)) / 2.0
 
@@ -153,9 +149,8 @@ def gaussian_mechanism(
     profile of the Gaussian mechanism admits a smaller deviation for the same
     (epsilon, delta), and the delta it delivers is below the one requested.
     """
-    if l2_sensitivity < 0:
-        raise ParameterError(f"l2_sensitivity must be >= 0, got {l2_sensitivity}")
-    _check_noise_variance(sigma2)
+    _check_finite("l2_sensitivity", l2_sensitivity, 0.0)
+    _check_finite("sigma2", sigma2, 0.0)
     std = gaussian_noise_multiplier(epsilon, delta) * l2_sensitivity / epsilon
     return DpMechanism(
         kind="gaussian",
@@ -223,7 +218,7 @@ def privacy_audit(
     keeps the result at or below epsilon up to rounding.
     """
     samples = _samples(r)
-    _check_noise_variance(sigma2)
+    _check_finite("sigma2", sigma2, 0.0)
     if samples.size > 4 or box.n_h > 2:
         raise AuditSizeError(
             f"audit instance too large (N={samples.size}, n_h={box.n_h}); "

@@ -29,7 +29,13 @@ from firpriv import (
 )
 from firpriv import experiments
 from firpriv.cli import main
-from firpriv.experiments import CHUNK, _fixed_input_attack, reference_plant, rows_to_csv
+from firpriv.experiments import (
+    ATTACK_UNIT,
+    CHUNK,
+    _fixed_input_attack,
+    reference_plant,
+    rows_to_csv,
+)
 
 LS_CONFIG = """
 plant_type = rational
@@ -192,24 +198,31 @@ seed = 7
 
 
 def dense_band_attack(h, r, estimator_map, ma_coeffs, mech, sigma2, seed, replicates):
-    """Fixed-input attack formed in the output domain with the dense band matrix."""
+    """Fixed-input attack formed in the output domain with the dense noise covariance.
+
+    Each work unit's stream gives the Gaussian noise first, as N standard
+    normals per replicate through the dense Cholesky factor of
+    ``band band' + (sigma2 + s^2) I``, then any Laplace noise.
+    """
     mean_y = build_regressor(r, h.size) @ h
     n = mean_y.size
-    band = build_filter_matrix(ma_coeffs, n).matrix if ma_coeffs is not None else None
+    cov = sigma2 * np.eye(n)
+    if mech is not None and mech.kind == "gaussian":
+        cov += mech.scale**2 * np.eye(n)
+    if ma_coeffs is not None:
+        band = build_filter_matrix(ma_coeffs, n).matrix
+        cov += band @ band.T
+    factor = np.linalg.cholesky(cov) if cov.any() else None
     total = total_sq = 0.0
-    for idx, start in enumerate(range(0, replicates, CHUNK)):
-        count = min(CHUNK, replicates - start)
+    for idx, start in enumerate(range(0, replicates, ATTACK_UNIT)):
+        count = min(ATTACK_UNIT, replicates - start)
         gen = stream(seed, "attack", idx)
         y = np.tile(mean_y, (count, 1))
-        if band is not None:
-            y += gen.standard_normal((count, band.shape[1])) @ band.T
-        if mech is not None and mech.kind == "gaussian":
-            y += mech.scale * gen.standard_normal((count, n))
-        elif mech is not None:
+        if factor is not None:
+            y += gen.standard_normal((count, n)) @ factor.T
+        if mech is not None and mech.kind == "laplace":
             centered = np.clip(gen.random((count, n)), 1e-300, 1.0 - 1e-16) - 0.5
             y += -mech.scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
-        if sigma2 > 0:
-            y += np.sqrt(sigma2) * gen.standard_normal((count, n))
         sq = np.sum((y @ estimator_map - h) ** 2, axis=1)
         total += sq.sum()
         total_sq += (sq * sq).sum()
@@ -229,7 +242,8 @@ def attack_inputs(n, channel):
 
 class TestFixedInputAttack:
     @pytest.mark.parametrize(
-        "channel", ["ma", "ma+sigma2", "laplace+sigma2", "gaussian+sigma2", "sigma2"]
+        "channel",
+        ["ma", "ma+sigma2", "laplace+sigma2", "gaussian+sigma2", "sigma2", "long-ma+sigma2"],
     )
     def test_matches_dense_band_formula(self, channel):
         rng = np.random.default_rng(15)
@@ -237,7 +251,9 @@ class TestFixedInputAttack:
         r = rng.standard_normal(30)
         reg = build_regressor(r, h.size)
         estimator_map = reg @ ls_gram_inverse(reg)
-        ma = rng.standard_normal(4) if channel.startswith("ma") else None
+        # The long filter has more taps (40) than the record has samples.
+        taps = {"ma": 4, "long-ma": 40}.get(channel.split("+")[0])
+        ma = rng.standard_normal(taps) if taps else None
         mech = {
             "laplace": laplace_mechanism(1.5, 2.0),
             "gaussian": gaussian_mechanism(1.0, 1e-5, 0.8),
@@ -496,6 +512,15 @@ class TestCli:
     def test_non_finite_box_bound_exit_code(self, finite, bound, tmp_path, capsys):
         cfg = tmp_path / "dp.cfg"
         cfg.write_text(DP_CONFIG.replace(finite, bound))
+        assert main(["dp-laplace", "--config", str(cfg)]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "finite, bad", [("dp_epsilon = 1.5", "dp_epsilon = inf"), ("sigma2 = 0.25", "sigma2 = inf")]
+    )
+    def test_non_finite_noise_parameter_exit_code(self, finite, bad, tmp_path, capsys):
+        cfg = tmp_path / "dp.cfg"
+        cfg.write_text(DP_CONFIG.replace(finite, bad))
         assert main(["dp-laplace", "--config", str(cfg)]) == 1
         assert "finite" in capsys.readouterr().err
 

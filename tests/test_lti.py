@@ -8,6 +8,7 @@ from scipy.signal import lfilter
 
 import firpriv
 from firpriv import (
+    ConditioningError,
     DimensionError,
     FirModel,
     ParameterError,
@@ -16,13 +17,14 @@ from firpriv import (
     build_filter_matrix,
     build_regressor,
     convolution_matrix,
+    derive,
     fir_truncate,
     generate_filtered_input,
     impulse_response,
     simulate,
     stream,
 )
-from firpriv.lti import _lfilter
+from firpriv.lti import _lfilter, factor_adjoint
 from helpers import ma_convolve, zero_state_convolution
 
 # Reference second-order plant used across the suite (delay-free form).
@@ -223,6 +225,32 @@ class TestBuildFilterMatrix:
             build_filter_matrix([1.0], 0)
 
 
+class TestNoiseFactor:
+    @pytest.mark.parametrize("m, n", [(1, 5), (4, 30), (15, 300), (12, 8)])
+    def test_factor_reproduces_the_covariance(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        band = build_filter_matrix(rng.standard_normal(m), n)
+        bands = band.noise_factor(0.7)
+        assert bands.shape == (min(m, n), n)
+        assert not bands.flags.writeable
+        factor = np.zeros((n, n))
+        for k in range(bands.shape[0]):
+            factor += np.diag(bands[k, : n - k], -k)
+        cov = band.matrix @ band.matrix.T + 0.7 * np.eye(n)
+        assert np.linalg.norm(factor @ factor.T - cov) <= 1e-13 * np.linalg.norm(cov)
+        x = rng.standard_normal((n, 3))
+        np.testing.assert_allclose(factor_adjoint(bands, x), factor.T @ x, rtol=0, atol=1e-12)
+
+    def test_singular_covariance_rejected(self):
+        with pytest.raises(ConditioningError):
+            build_filter_matrix([0.0, 0.0], 6).noise_factor(0.0)
+
+    def test_adjoint_rejects_wrong_row_count(self):
+        bands = build_filter_matrix([1.0, 0.5], 4).noise_factor(1.0)
+        with pytest.raises(DimensionError):
+            factor_adjoint(bands, np.ones((5, 2)))
+
+
 class TestConvolutionMatrix:
     def test_small_pattern(self):
         np.testing.assert_allclose(
@@ -352,6 +380,17 @@ class TestGenerateFilteredInput:
         b = generate_filtered_input(w, 100, seed=3)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("den", [[1.0], [1.0, -0.95], REF_DEN])
+    def test_seed_sequence_stacks_the_single_records(self, den):
+        w = RationalFilter([1.0, 0.3], den)
+        seeds = [derive(0, "det-input", k) for k in range(6)]
+        assert max(seeds) >= 2**63  # seeds past int64 keep every bit
+        out = generate_filtered_input(w, 50, seed=seeds)
+        assert out.shape == (6, 50)
+        assert not out.flags.writeable
+        for s, row in zip(seeds, out):
+            assert np.array_equal(row, generate_filtered_input(w, 50, seed=s))
+
 
 class TestLfilterMatchesScipy:
     """``lti._lfilter`` against ``scipy.signal.lfilter``, bit for bit."""
@@ -394,6 +433,18 @@ class TestLfilterMatchesScipy:
                 np.testing.assert_allclose(y, y_ref, rtol=1e-14, atol=1e-15)
             else:
                 assert np.array_equal(y, y_ref)
+
+    @pytest.mark.parametrize("na", [1, 2, 3, 4])
+    @pytest.mark.parametrize("nb", [1, 2, 3, 4])
+    def test_stack_equals_row_by_row(self, nb, na):
+        rng = np.random.default_rng(2000 + 100 * nb + na)
+        num, den = self._coeffs(rng, nb, na)
+        x = rng.standard_normal((7, 64))
+        stacked = _lfilter(num, den, x)
+        assert stacked.shape == x.shape
+        for row, y in zip(x, stacked):
+            assert np.array_equal(y, _lfilter(num, den, row))
+            assert np.array_equal(y, lfilter(num, den, row))
 
     def test_unit_denominator_every_length(self):
         rng = np.random.default_rng(7)
