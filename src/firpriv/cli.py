@@ -28,8 +28,8 @@ _DESIGN_COMMANDS = {
 def _add_common(parser: argparse.ArgumentParser, with_config: bool = True):
     if with_config:
         parser.add_argument("--config", required=True, help="experiment configuration file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="stream seed (overrides FIRPRIV_SEED and the config)")
+    parser.add_argument("--seed", type=int, default=None if with_config else 0,
+                        help="stream seed (overrides the config's seed; default 0 without one)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for Monte Carlo chunks (default: machine parallelism)")
     parser.add_argument("--out-dir", default=None, help="directory for CSV reports")
@@ -54,20 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=100_000)
     p.add_argument("--realizations", type=int, default=50)
     return parser
-
-
-def _resolve_seed(args, config=None) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("FIRPRIV_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"FIRPRIV_SEED must be an integer, got {env!r}") from exc
-    if config is not None:
-        return config.seed
-    return 0
 
 
 def _resolve_threads(args) -> int:
@@ -116,9 +102,7 @@ def _cmd_run(args) -> int:
             )
         # A single replicate keeps the design exact while skipping heavy simulation.
         config = replace(config, replicates=1)
-    report = attack_simulation(
-        config, threads=_resolve_threads(args), seed=_resolve_seed(args, config)
-    )
+    report = attack_simulation(config, threads=_resolve_threads(args), seed=args.seed)
     pairs = _report_pairs(report)
     if simulate:
         pairs += [
@@ -139,10 +123,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    seed = _resolve_seed(args)
     rows = reproduce(
         which=args.which,
-        seed=seed,
+        seed=args.seed,
         out_dir=args.out_dir,
         replicates=args.replicates,
         realizations=args.realizations,
@@ -154,7 +137,7 @@ def _cmd_reproduce(args) -> int:
         expected = f" expected={row.expected}" if row.expected else ""
         print(f"[{status}] {row.name:<{width}} computed={row.computed}{expected} ({row.tolerance})")
     failed = sum(1 for row in rows if not row.passed)
-    print(f"{len(rows) - failed}/{len(rows)} checks passed (seed={seed})")
+    print(f"{len(rows) - failed}/{len(rows)} checks passed (seed={args.seed})")
     if args.out_dir:
         print(f"reports written to {args.out_dir}")
     else:

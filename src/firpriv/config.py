@@ -7,6 +7,7 @@ typo tolerance.
 """
 from __future__ import annotations
 
+import math
 import os
 import typing
 from dataclasses import dataclass, fields
@@ -87,6 +88,12 @@ def _parse_scalar(raw: str, target, key: str, line: int):
             value = raw
     except ValueError as exc:
         raise ConfigError(f"key {key!r} expects {target.__name__}, got {raw!r} ({exc})", line)
+    # Before the finite test, so a NaN sigma2 gets this bound's message.
+    if key == "sigma2" and not value >= 0.0:
+        raise ConfigError(f"sigma2 must be >= 0, got {value}", line)
+    numbers = value if target is list else [value] if target is float else []
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"key {key!r} must be finite, got {raw!r}", line)
     return value
 
 
@@ -98,9 +105,6 @@ def _require(pairs: dict, key: str, context: str):
 def _validate(pairs: dict) -> None:
     for key in ("plant_type", "input_type", "design_type", "sigma2"):
         _require(pairs, key, "always required")
-
-    if not pairs["sigma2"] >= 0.0:
-        raise ConfigError(f"sigma2 must be >= 0, got {pairs['sigma2']}")
 
     plant = pairs["plant_type"]
     if plant not in PLANT_TYPES:

@@ -33,8 +33,7 @@ from .estimators import (
     TraceQuadratic,
     _screened_inverse,
     _toeplitz,
-    ls_trace_quadratic,
-    rls_trace_quadratic,
+    analyze_records,
 )
 from .lti import FirModel, _check_finite, _samples, build_regressor, convolution_matrix
 from .rng import stream
@@ -207,11 +206,7 @@ def design_input_capped(
     """
     h_vec = _samples(h)
     n_f = h_vec.size + n_l - 1
-    reg = build_regressor(r, h_vec.size)
-    if kernel is None:
-        quad_f = ls_trace_quadratic(reg, sigma2, n_f)
-    else:
-        quad_f = rls_trace_quadratic(reg, h_vec, kernel, sigma2, n_f)
+    quad_f = analyze_records(build_regressor(r, h_vec.size), sigma2, n_f, kernel, h_vec)[0]
     return _design_input(quad_f, h_vec, sigma2, gamma1, n_l)
 
 

@@ -166,9 +166,9 @@ def _resolve_kernel(config: ExperimentConfig, n_h: int) -> Optional[Kernel]:
     return Kernel(stable_spline_kernel(n_h, config.rls_beta), eta=config.rls_eta)
 
 
-def _check_threads(threads: Optional[int]) -> None:
-    if threads is not None and threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
+def _check_count(name: str, value: Optional[int]) -> None:
+    if value is not None and value < 1:
+        raise ParameterError(f"{name} must be >= 1, got {value}")
 
 
 def _run_chunks(worker, total: int, threads: Optional[int], size: int = CHUNK):
@@ -365,7 +365,8 @@ def attack_simulation(
     filter designs and the no-privacy error for the mechanism calibrations.
     """
     start = time.perf_counter()
-    _check_threads(threads)
+    _check_count("threads", threads)
+    _check_count("replicates", config.replicates)
     seed = config.seed if seed is None else seed
     h = _resolve_plant(config)
 
@@ -588,11 +589,9 @@ def reproduce(
     ``out_dir`` set, one CSV per scenario is written; contents are a pure
     function of the arguments, so a fixed seed reproduces files byte for byte.
     """
-    if replicates < 1:
-        raise ParameterError(f"replicates must be >= 1, got {replicates}")
-    if realizations < 1:
-        raise ParameterError(f"realizations must be >= 1, got {realizations}")
-    _check_threads(threads)
+    _check_count("replicates", replicates)
+    _check_count("realizations", realizations)
+    _check_count("threads", threads)
     scenarios = {
         "deterministic": lambda: _reproduce_deterministic(seed, realizations),
         "rls": lambda: _reproduce_rls(seed, realizations),

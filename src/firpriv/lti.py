@@ -61,10 +61,6 @@ class FirModel:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _readonly(_as_vector(self.coeffs, "coeffs")))
 
-    @property
-    def order(self) -> int:
-        return self.coeffs.size
-
     def __len__(self) -> int:
         return self.coeffs.size
 
@@ -94,10 +90,6 @@ class RationalFilter:
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
 
-    @classmethod
-    def identity(cls) -> "RationalFilter":
-        return cls(np.array([1.0]), np.array([1.0]))
-
 
 def _poles(den: np.ndarray) -> np.ndarray:
     # Trailing zero coefficients only add poles at the origin; drop them.
@@ -113,21 +105,16 @@ def _samples(x) -> np.ndarray:
     return _as_vector(x, "signal")
 
 
-def _shifted_adds(x, n_in: int, n_out: int, terms) -> np.ndarray:
-    """(n_out, k) sum of ``weight * x[lo:]`` placed from row ``at`` over ``(at, lo, weight)``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != n_in:
-        raise DimensionError(f"need an ({n_in}, k) block, got shape {x.shape}")
-    out = np.zeros((n_out, x.shape[1]))
-    for at, lo, weight in terms:
-        out[at : at + n_in - lo] += weight * x[lo:]
-    return out
-
-
 def factor_adjoint(bands: np.ndarray, x) -> np.ndarray:
     """``C.T @ x`` for an (N, k) block and C given as ``bands[k, j] = C[j+k, j]``."""
     n = bands.shape[1]
-    return _shifted_adds(x, n, n, ((0, k, c[: n - k, None]) for k, c in enumerate(bands)))
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != n:
+        raise DimensionError(f"need an ({n}, k) block, got shape {x.shape}")
+    out = np.zeros((n, x.shape[1]))
+    for k, c in enumerate(bands):
+        out[: n - k] += c[: n - k, None] * x[k:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -140,7 +127,7 @@ class BandedFilterMatrix:
 
     Only the coefficients and the row count are stored.  The dense
     N x (N+m-1) ``matrix`` is built, read-only, on first access;
-    :meth:`adjoint` and :meth:`noise_factor` work without it.
+    :meth:`noise_factor` works without it.
     """
 
     coeffs: np.ndarray = field(repr=False)
@@ -149,21 +136,11 @@ class BandedFilterMatrix:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _readonly(self.coeffs))
 
-    @property
-    def filter_length(self) -> int:
-        return self.coeffs.size
-
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         # L is the transposed convolution operator of the reversed coefficients.
         n = self.n_samples
         return _readonly(_windows(self.coeffs[::-1], n, trailing=n - 1).T)
-
-    def adjoint(self, x) -> np.ndarray:
-        """``matrix.T @ x`` for an (N, k) block, by m shifted adds."""
-        n = self.n_samples
-        terms = ((k, 0, c) for k, c in enumerate(self.coeffs[::-1]))
-        return _shifted_adds(x, n, n + self.coeffs.size - 1, terms)
 
     def noise_factor(self, w: float) -> np.ndarray:
         """Cholesky factor C of ``matrix @ matrix.T + w*I`` in LAPACK lower band storage.

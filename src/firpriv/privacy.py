@@ -116,13 +116,8 @@ def laplace_mechanism(epsilon: float, sensitivity: float, sigma2: float = 0.0) -
     )
 
 
-def gaussian_upper_tail(x: float) -> float:
-    """P{Z > x} for standard normal Z."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
 def gaussian_tail_inverse(delta: float) -> float:
-    """Inverse of :func:`gaussian_upper_tail`, accurate down to the smallest positive double."""
+    """The x with P{Z > x} = delta, Z standard normal; accurate down to delta = 5e-324."""
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
     return float(-ndtri(delta))

@@ -11,15 +11,26 @@ import hashlib
 
 import numpy as np
 
+from .errors import ParameterError
+
+
+def _nonnegative(value, what: str) -> int:
+    value = int(value)
+    if value < 0:
+        raise ParameterError(f"{what} must be nonnegative, got {value}")
+    return value
+
 
 def _path_component(item) -> int:
     if isinstance(item, str):
         digest = hashlib.sha256(item.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "little")
-    value = int(item)
-    if value < 0:
-        raise ValueError(f"stream path components must be nonnegative, got {item}")
-    return value
+    return _nonnegative(item, "stream path components")
+
+
+def _sequence(seed: int, path) -> np.random.SeedSequence:
+    key = tuple(_path_component(p) for p in path)
+    return np.random.SeedSequence(entropy=_nonnegative(seed, "seed"), spawn_key=key)
 
 
 def stream(seed: int, *path) -> np.random.Generator:
@@ -29,13 +40,9 @@ def stream(seed: int, *path) -> np.random.Generator:
     addresses yield statistically independent streams (Philox keyed through
     a spawn-key derived from the path).
     """
-    key = tuple(_path_component(p) for p in path)
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.Philox(_sequence(seed, path)))
 
 
 def derive(seed: int, *path) -> int:
     """Collapse ``(seed, *path)`` into a plain integer seed for nested APIs."""
-    key = tuple(_path_component(p) for p in path)
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    return int(_sequence(seed, path).generate_state(1, dtype=np.uint64)[0])

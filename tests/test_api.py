@@ -56,3 +56,12 @@ def test_non_finite_scalars_rejected(case):
     call, name = NON_FINITE_CALLS[case]
     with pytest.raises(firpriv.ParameterError, match=f"{name} must be finite"):
         call()
+
+
+@pytest.mark.parametrize(
+    "address", [(-1,), (-1, "attack"), (0, "attack", -2)], ids=["seed", "seed+path", "path"]
+)
+def test_negative_stream_address_rejected(address):
+    for entry in (firpriv.stream, firpriv.derive):
+        with pytest.raises(firpriv.ParameterError, match="must be nonnegative"):
+            entry(*address)

@@ -55,6 +55,19 @@ class TestParse:
             with pytest.raises(ConfigError, match="sigma2 must be >= 0"):
                 parse_config_text(MINIMAL.replace("sigma2 = 1.0", f"sigma2 = {bad}"))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", [key for key, target in _SCHEMA.items() if target in (float, list)]
+    )
+    def test_non_finite_value_names_key_and_line(self, key, bad):
+        value = f"1, {bad}" if _SCHEMA[key] is list else bad
+        if key == "sigma2" and bad != "inf":
+            message = rf"line 2: sigma2 must be >= 0, got {bad}"
+        else:
+            message = rf"line 2: key '{key}' must be finite, got '{value}'"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(f"seed = 1\n{key} = {value}\n" + MINIMAL)
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate key"):
             parse_config_text(MINIMAL + "sigma2 = 2.0\n")

@@ -189,6 +189,13 @@ seed = 7
         assert serial.empirical_trace == parallel.empirical_trace
         assert serial.empirical_se == parallel.empirical_se
 
+    @pytest.mark.parametrize("text", [DP_CONFIG, RANDOM_CONFIG], ids=["fixed", "random"])
+    @pytest.mark.parametrize("replicates", [0, -5])
+    def test_rejects_fewer_than_one_replicate(self, text, replicates):
+        config = replace(parse_config_text(text), replicates=replicates)
+        with pytest.raises(ParameterError, match="replicates must be >= 1"):
+            attack_simulation(config)
+
     def test_seed_override_changes_draws(self):
         config = parse_config_text(DP_CONFIG.replace("replicates = 30000", "replicates = 2000"))
         a = attack_simulation(config, seed=1)
@@ -458,17 +465,33 @@ class TestCli:
                      "--realizations", "50"])
         assert code == 0
 
-    def test_seed_env_variable_with_flag_priority(self, tmp_path, capsys, monkeypatch):
+    def test_seed_flag_matches_config_seed(self, tmp_path, capsys):
         cfg = tmp_path / "dp.cfg"
-        cfg.write_text(DP_CONFIG.replace("replicates = 30000", "replicates = 500"))
-        monkeypatch.setenv("FIRPRIV_SEED", "11")
-        main(["simulate", "--config", str(cfg)])
-        env_out = capsys.readouterr().out
-        main(["simulate", "--config", str(cfg), "--seed", "11"])
-        flag_out = capsys.readouterr().out
-        env_lines = [l for l in env_out.splitlines() if not l.startswith("runtime")]
-        flag_lines = [l for l in flag_out.splitlines() if not l.startswith("runtime")]
-        assert env_lines == flag_lines
+
+        def simulate_lines(seed_line, *flags):
+            text = DP_CONFIG.replace("replicates = 30000", "replicates = 500")
+            cfg.write_text(text.replace("seed = 5", seed_line))
+            main(["simulate", "--config", str(cfg), *flags])
+            out = capsys.readouterr().out
+            return [l for l in out.splitlines() if not l.startswith("runtime")]
+
+        from_config = simulate_lines("seed = 11")
+        assert simulate_lines("seed = 5", "--seed", "11") == from_config
+        assert simulate_lines("seed = 5") != from_config
+
+    @pytest.mark.parametrize(
+        "argv, config_seed",
+        [(["dp-laplace", "--seed", "-1"], 5),
+         (["simulate"], -2),
+         (["reproduce", "--which", "deterministic", "--seed", "-3"], None)],
+    )
+    def test_negative_seed_exit_code(self, argv, config_seed, tmp_path, capsys):
+        if config_seed is not None:
+            cfg = tmp_path / "dp.cfg"
+            cfg.write_text(DP_CONFIG.replace("seed = 5", f"seed = {config_seed}"))
+            argv = [*argv, "--config", str(cfg)]
+        assert main(argv) == 1
+        assert "error: seed must be nonnegative" in capsys.readouterr().err
 
     def test_negative_sigma2_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "dp.cfg"
