@@ -31,7 +31,8 @@ def _add_common(parser: argparse.ArgumentParser, with_config: bool = True):
     parser.add_argument("--seed", type=int, default=None if with_config else 0,
                         help="stream seed (overrides the config's seed; default 0 without one)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for Monte Carlo chunks (default: machine parallelism)")
+                        help="worker threads for Monte Carlo chunks "
+                        "(default: the CPUs this process may run on)")
     parser.add_argument("--out-dir", default=None, help="directory for CSV reports")
 
 
@@ -57,7 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(args) -> int:
-    return args.threads if args.threads is not None else (os.cpu_count() or 1)
+    if args.threads is not None:
+        return args.threads
+    if hasattr(os, "sched_getaffinity"):  # the affinity mask, as under taskset
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _report_pairs(report: experiments.ExperimentReport):

@@ -60,7 +60,7 @@ from .privacy import (
     l2_sensitivity,
     laplace_mechanism,
 )
-from .rng import derive, stream
+from .rng import derive, replicate_stream, stream
 
 #: Replicates per random-input attack work unit; fixed so results do not depend on threads.
 #: Each chunk has its own stream and its own error sums, reduced in chunk order.  The
@@ -212,9 +212,11 @@ def _fixed_input_attack(
     error is ``(R h E - h) + z (C'E) + lap E`` with Laplace mechanism noise
     ``lap``; ``C'E`` takes O(N*m*n_h) and the dense band is never built.
 
-    Work units of ``ATTACK_UNIT`` replicates each have their own
-    ``stream(seed, "attack", unit)``, which gives all ``z`` rows and then the
-    ``lap`` rows, and their own sums, reduced in unit order.  A worker draws
+    Work units of ``ATTACK_UNIT`` replicates each have their own SFC64
+    ``replicate_stream(seed, "attack", unit)``, which gives all ``z`` rows and
+    then the ``lap`` rows, and their own sums, reduced in unit order.  Only
+    these draws leave Philox: they are most of ``simulate``'s time, and no
+    design output or ``reproduce`` CSV depends on them.  A worker draws
     each channel in row blocks of at most ``FOLD_MACS`` multiply-adds and
     adds each block's product with its map to the error at once, so its
     memory does not grow with N; a block size changes no draw.
@@ -229,7 +231,7 @@ def _fixed_input_attack(
         noise_map = np.sqrt(w) * estimator_map if w > 0 else None
 
     def worker(unit: int, count: int):
-        gen = stream(seed, "attack", unit)
+        gen = replicate_stream(seed, "attack", unit)
         err = np.tile(bias, (count, 1))
 
         def fold(draw, fmap):

@@ -1,9 +1,11 @@
-"""Counter-based random streams.
+"""Addressed random streams.
 
 Every stochastic routine in the package draws from a stream addressed by
-``(seed, *path)``.  The draws of a stream are a pure function of that
-address, so replicates can be generated in any order (or in parallel) and
-still reproduce a serial run exactly.
+``(seed, *path)`` through a ``SeedSequence`` spawn key.  The draws of a
+stream are a pure function of that address, so replicates can be generated
+in any order (or in parallel) and still reproduce a serial run exactly.
+:func:`stream` runs on Philox; :func:`replicate_stream` runs on SFC64, which
+draws normals faster, for the bulk of the fixed-input attack's noise.
 """
 from __future__ import annotations
 
@@ -41,6 +43,11 @@ def stream(seed: int, *path) -> np.random.Generator:
     a spawn-key derived from the path).
     """
     return np.random.Generator(np.random.Philox(_sequence(seed, path)))
+
+
+def replicate_stream(seed: int, *path) -> np.random.Generator:
+    """Return the SFC64 generator addressed by ``(seed, *path)``, as :func:`stream` does."""
+    return np.random.Generator(np.random.SFC64(_sequence(seed, path)))
 
 
 def derive(seed: int, *path) -> int:

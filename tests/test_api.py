@@ -2,6 +2,7 @@
 import pytest
 
 import firpriv
+from firpriv.rng import replicate_stream
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -62,6 +63,13 @@ def test_non_finite_scalars_rejected(case):
     "address", [(-1,), (-1, "attack"), (0, "attack", -2)], ids=["seed", "seed+path", "path"]
 )
 def test_negative_stream_address_rejected(address):
-    for entry in (firpriv.stream, firpriv.derive):
+    for entry in (firpriv.stream, firpriv.derive, replicate_stream):
         with pytest.raises(firpriv.ParameterError, match="must be nonnegative"):
             entry(*address)
+
+
+def test_replicate_stream_repeats_its_address_and_differs_from_stream():
+    draws = replicate_stream(3, "attack", 1).standard_normal(64)
+    assert (replicate_stream(3, "attack", 1).standard_normal(64) == draws).all()
+    assert not (replicate_stream(3, "attack", 2).standard_normal(64) == draws).any()
+    assert not (firpriv.stream(3, "attack", 1).standard_normal(64) == draws).any()

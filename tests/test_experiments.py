@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -27,7 +28,7 @@ from firpriv import (
     stable_spline_kernel,
     stream,
 )
-from firpriv import experiments
+from firpriv import cli, experiments
 from firpriv.cli import main
 from firpriv.experiments import (
     ATTACK_UNIT,
@@ -36,6 +37,7 @@ from firpriv.experiments import (
     reference_plant,
     rows_to_csv,
 )
+from firpriv.rng import replicate_stream
 
 LS_CONFIG = """
 plant_type = rational
@@ -207,7 +209,7 @@ seed = 7
 def dense_band_attack(h, r, estimator_map, ma_coeffs, mech, sigma2, seed, replicates):
     """Fixed-input attack formed in the output domain with the dense noise covariance.
 
-    Each work unit's stream gives the Gaussian noise first, as N standard
+    Each work unit's replicate stream gives the Gaussian noise first, as N standard
     normals per replicate through the dense Cholesky factor of
     ``band band' + (sigma2 + s^2) I``, then any Laplace noise.
     """
@@ -223,7 +225,7 @@ def dense_band_attack(h, r, estimator_map, ma_coeffs, mech, sigma2, seed, replic
     total = total_sq = 0.0
     for idx, start in enumerate(range(0, replicates, ATTACK_UNIT)):
         count = min(ATTACK_UNIT, replicates - start)
-        gen = stream(seed, "attack", idx)
+        gen = replicate_stream(seed, "attack", idx)
         y = np.tile(mean_y, (count, 1))
         if factor is not None:
             y += gen.standard_normal((count, n)) @ factor.T
@@ -373,6 +375,24 @@ class TestReproduce:
 
 
 class TestCli:
+    def test_default_threads_count_the_cpus_the_process_may_use(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(LS_CONFIG)
+        seen = []
+
+        def spy(config, threads=None, seed=None):
+            seen.append(threads)
+            return attack_simulation(config, threads=threads, seed=seed)
+
+        monkeypatch.setattr(cli, "attack_simulation", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main(["design-output", "--config", str(cfg)]) == 0
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert main(["design-output", "--config", str(cfg)]) == 0
+        assert main(["design-output", "--config", str(cfg), "--threads", "3"]) == 0
+        assert seen == [1, 2, 3]
+
     def test_design_output_command(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(LS_CONFIG)
