@@ -36,7 +36,7 @@ from .estimators import (
     analyze_records,
 )
 from .lti import FirModel, _check_finite, _samples, build_regressor, convolution_matrix
-from .rng import stream
+from .rng import _run_chunks, stream
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +45,10 @@ EIGEN_GAP_TOL = 1e-9
 
 #: Relative eigenvalue floor of the plant Gram matrix for input-channel design.
 GRAM_RANK_TOL = 1e-10
+
+#: Records per expected-quadratic work unit, in whole length draws; two threads
+#: on single 100-record draws ran slower than one, contending for the GIL.
+QUAD_UNIT_RECORDS = 8192
 
 
 @dataclass(frozen=True)
@@ -252,16 +256,20 @@ class RandomInputModel:
     vartheta: int
 
     def __post_init__(self):
-        lengths = np.asarray(self.lengths, dtype=int)
+        raw = np.asarray(self.lengths, dtype=float)
         probs = np.asarray(self.probabilities, dtype=float)
-        if lengths.ndim != 1 or probs.shape != lengths.shape:
+        if raw.ndim != 1 or probs.shape != raw.shape:
             raise DimensionError("lengths and probabilities must be 1-D and equal length")
+        if not (np.isfinite(raw).all() and np.array_equal(raw, np.round(raw))):
+            raise ParameterError(f"lengths must be finite integers, got {raw}")
+        lengths = raw.astype(int)
         if np.any(lengths < 1):
             raise ParameterError("all support lengths must be >= 1")
+        _check_finite("probabilities", float(probs.sum()))
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
             raise ParameterError("probabilities must be nonnegative and sum to 1")
-        if self.theta < 1 or self.vartheta < 1:
-            raise ParameterError("theta and vartheta must be >= 1")
+        _check_finite("theta", self.theta, 1.0)
+        _check_finite("vartheta", self.vartheta, 1.0)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "probabilities", probs)
 
@@ -286,16 +294,21 @@ def estimate_expected_quadratic(
     n_l: int,
     sigma2: float,
     seed: int = 0,
+    threads: Optional[int] = None,
 ) -> ExpectedTraceQuadratic:
     """Monte Carlo estimate of the plain-LS expected trace quadratic (matrix and offset).
 
     Averages the per-instance quadratic over ``theta`` record-length draws and
     ``vartheta`` input draws per length.  Ill-conditioned instances
     (condition estimate above the solver limit) are redrawn; the run aborts
-    if redraws exceed ``FAILURE_BUDGET`` of the sample budget.
+    if redraws exceed ``FAILURE_BUDGET`` of the sample budget.  Each length draw
+    has its own stream, redraws and sums, reduced in draw order, so spreading
+    units of ``QUAD_UNIT_RECORDS`` records over ``threads`` changes no bit.
     """
     if n_l < 1:
         raise ParameterError(f"n_l must be >= 1, got {n_l}")
+    if threads is not None and threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     _check_finite("sigma2", sigma2, 0.0)
     if np.any(model.lengths < n_h):
         raise ParameterError(
@@ -304,16 +317,21 @@ def estimate_expected_quadratic(
 
     total = model.theta * model.vartheta
     redraw_budget = FAILURE_BUDGET * total
-    diag_acc = np.zeros(n_l)
-    offset_acc = 0.0
-    redraws = 0
     length_gen = stream(seed, "quad-lengths")
     lengths = length_gen.choice(model.lengths, size=model.theta, p=model.probabilities)
 
-    for i in range(model.theta):
+    def check_redraws(redraws: int) -> None:
+        if redraws > redraw_budget:
+            raise RedrawBudgetError(
+                f"{redraws} ill-conditioned replicates exceed the redraw budget "
+                f"({FAILURE_BUDGET:.1%} of {total})"
+            )
+
+    def draw(i: int):
         n = int(lengths[i])
         gen = stream(seed, "quad-inputs", i)
         r_block = gen.standard_normal((model.vartheta, n))
+        redraws = 0
         while True:
             R = build_regressor(r_block, n_h)
             gram = np.einsum("bij,bik->bjk", R, R)
@@ -322,24 +340,26 @@ def estimate_expected_quadratic(
             if not bad.any():
                 break
             redraws += int(bad.sum())
-            if redraws > redraw_budget:
-                raise RedrawBudgetError(
-                    f"{redraws} ill-conditioned replicates exceed the redraw budget "
-                    f"({FAILURE_BUDGET:.1%} of {total})"
-                )
+            check_redraws(redraws)
             r_block[bad] = gen.standard_normal((int(bad.sum()), n))
         A = np.einsum("bij,bjk->bik", R, gram_inv)  # rows of E = A A'
-        offset_acc += sigma2 * np.einsum("bii->", gram_inv)
         # Lags d >= N do not overlap the record, so their sums are zero.
+        lags = np.zeros(n_l)
         for d in range(min(n_l, n)):
-            diag_acc[d] += np.einsum("bij,bij->", A[:, : n - d, :], A[:, d:, :])
+            lags[d] = np.einsum("bij,bij->", A[:, : n - d, :], A[:, d:, :])
+        return sigma2 * np.einsum("bii->", gram_inv), lags, redraws
 
+    size = max(1, QUAD_UNIT_RECORDS // model.vartheta)  # whole length draws per work unit
+    units = _run_chunks(lambda u, count: [draw(i) for i in range(u * size, u * size + count)],
+                        model.theta, threads, size)
+    parts = [part for unit in units for part in unit]  # summed in draw order below
+    redraws = sum(p[2] for p in parts)
+    check_redraws(redraws)
     if redraws:
         logger.info("expected-quadratic estimate: %d of %d replicates redrawn", redraws, total)
-    matrix = _toeplitz(diag_acc / total)
     return ExpectedTraceQuadratic(
-        matrix=matrix,
-        offset=float(offset_acc / total),
+        matrix=_toeplitz(sum(p[1] for p in parts) / total),
+        offset=float(sum(p[0] for p in parts) / total),
         redraws=redraws,
         samples=total,
     )

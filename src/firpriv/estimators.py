@@ -56,8 +56,7 @@ class Kernel:
         eigs = np.linalg.eigvalsh((k + k.T) / 2.0)
         if eigs[0] < -1e-10 * max(scale, 1.0):
             raise ParameterError(f"kernel must be positive semidefinite, min eig {eigs[0]:.3e}")
-        if not self.eta > 0:
-            raise ParameterError(f"eta must be > 0, got {self.eta}")
+        _check_finite("eta", self.eta, 0.0, strict=True)
         object.__setattr__(self, "matrix", (k + k.T) / 2.0)
 
     @property

@@ -16,7 +16,6 @@ import csv
 import io
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -60,7 +59,7 @@ from .privacy import (
     l2_sensitivity,
     laplace_mechanism,
 )
-from .rng import derive, replicate_stream, stream
+from .rng import _run_chunks, derive, replicate_stream, stream
 
 #: Replicates per random-input attack work unit; fixed so results do not depend on threads.
 #: Each chunk has its own stream and its own error sums, reduced in chunk order.  The
@@ -169,15 +168,6 @@ def _resolve_kernel(config: ExperimentConfig, n_h: int) -> Optional[Kernel]:
 def _check_count(name: str, value: Optional[int]) -> None:
     if value is not None and value < 1:
         raise ParameterError(f"{name} must be >= 1, got {value}")
-
-
-def _run_chunks(worker, total: int, threads: Optional[int], size: int = CHUNK):
-    """Map ``worker`` over chunks of ``size``; reduction order is by chunk index."""
-    plan = [(idx, min(size, total - idx * size)) for idx in range((total + size - 1) // size)]
-    if threads is not None and threads > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda spec: worker(*spec), plan))
-    return [worker(*spec) for spec in plan]
 
 
 def _mean_and_se(parts):
@@ -303,7 +293,7 @@ def _random_input_attack(
             used += int(good.sum())
         return sum_sq, sum_sq2, used, failures
 
-    parts = _run_chunks(worker, replicates, threads)
+    parts = _run_chunks(worker, replicates, threads, CHUNK)
     failures = sum(p[3] for p in parts)
     if failures > FAILURE_BUDGET * replicates:
         raise RedrawBudgetError(
@@ -380,7 +370,7 @@ def attack_simulation(
             config.random_vartheta,
         )
         quad = estimate_expected_quadratic(
-            model, len(h), config.noise_order, config.sigma2, seed=derive(seed, "design")
+            model, len(h), config.noise_order, config.sigma2, derive(seed, "design"), threads
         )
         design = design_output_random(quad, config.sigma2, config.gamma1)
         predicted = design.predicted_trace
@@ -504,7 +494,7 @@ def _reproduce_random(
         params["min_length"], params["max_length"], params["theta"], params["vartheta"]
     )
     quad = estimate_expected_quadratic(
-        model, len(h), params["n_l"], params["sigma2"], seed=derive(seed, "random-design")
+        model, len(h), params["n_l"], params["sigma2"], derive(seed, "random-design"), threads
     )
     result = design_output_random(quad, params["sigma2"], params["gamma1"])
 

@@ -111,10 +111,10 @@ def factor_adjoint(bands: np.ndarray, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != n:
         raise DimensionError(f"need an ({n}, k) block, got shape {x.shape}")
-    out = np.zeros((n, x.shape[1]))
-    for k, c in enumerate(bands):
-        out[: n - k] += c[: n - k, None] * x[k:]
-    return out
+    # W[i, k] = x[i + k], zero past row N: a read-only window view, not a copy.
+    padded = np.concatenate([x, np.zeros((bands.shape[0] - 1, x.shape[1]))])
+    W = np.lib.stride_tricks.sliding_window_view(padded, bands.shape[0], axis=0)
+    return np.einsum("ki,ijk->ij", bands, W)
 
 
 @dataclass(frozen=True)

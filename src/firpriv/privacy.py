@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri
 
 from .errors import AuditSizeError, ParameterError
 from .lti import _check_finite, _samples, build_regressor
@@ -120,6 +119,7 @@ def gaussian_tail_inverse(delta: float) -> float:
     """The x with P{Z > x} = delta, Z standard normal; accurate down to delta = 5e-324."""
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
+    from scipy.special import ndtri  # imported here: it costs every other command start-up
     return float(-ndtri(delta))
 
 
@@ -187,6 +187,7 @@ def _laplace_gauss_log_density(points: np.ndarray, b: float, sigma: float):
     if sigma == 0.0:
         dens = np.exp(-np.abs(points) / b) / (2.0 * b)
         return np.log(np.maximum(dens, 1e-300))
+    from scipy.special import log_ndtr  # imported here: it costs every other command start-up
     a = 0.5 * (sigma / b) ** 2
     z = points / sigma
     t = sigma / b

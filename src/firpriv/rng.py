@@ -10,6 +10,7 @@ draws normals faster, for the bulk of the fixed-input attack's noise.
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,3 +54,12 @@ def replicate_stream(seed: int, *path) -> np.random.Generator:
 def derive(seed: int, *path) -> int:
     """Collapse ``(seed, *path)`` into a plain integer seed for nested APIs."""
     return int(_sequence(seed, path).generate_state(1, dtype=np.uint64)[0])
+
+
+def _run_chunks(worker, total: int, threads, size: int):
+    """Map ``worker(index, count)`` over units of ``size``; results come in unit order."""
+    plan = [(idx, min(size, total - idx * size)) for idx in range((total + size - 1) // size)]
+    if threads is not None and threads > 1 and len(plan) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda spec: worker(*spec), plan))
+    return [worker(*spec) for spec in plan]

@@ -49,6 +49,15 @@ NON_FINITE_CALLS = {
     "capped sigma2=inf": (lambda: firpriv.design_output_capped(_quad(), INF, INF), "sigma2"),
     "weighted gamma2=inf": (lambda: firpriv.design_output_weighted(_quad(), INF), "gamma2"),
     "box upper=inf": (lambda: firpriv.CoefficientBox(0.0, INF, 2), "box upper bound"),
+    "kernel eta=inf": (lambda: firpriv.Kernel([[1.0]], eta=INF), "eta"),
+    "random model probability=nan": (
+        lambda: firpriv.RandomInputModel([10, 11, 12], [NAN, 0.5, 0.5], 1, 1), "probabilities"),
+    "random model length=nan": (
+        lambda: firpriv.RandomInputModel([10, NAN], [0.5, 0.5], 1, 1), "lengths"),
+    "random model theta=nan": (
+        lambda: firpriv.RandomInputModel([10, 11], [0.5, 0.5], NAN, 1), "theta"),
+    "random model vartheta=inf": (
+        lambda: firpriv.RandomInputModel([10, 11], [0.5, 0.5], 1, INF), "vartheta"),
 }
 
 

@@ -24,7 +24,7 @@ from firpriv import (
     stable_spline_kernel,
     stream,
 )
-from firpriv import estimators
+from firpriv import design, estimators
 from helpers import ball_samples, random_regressor, sphere_samples
 
 
@@ -271,6 +271,8 @@ class TestRandomInputModel:
     def test_length_validation(self):
         with pytest.raises(ParameterError):
             RandomInputModel(lengths=[0, 2], probabilities=[0.5, 0.5], theta=1, vartheta=1)
+        with pytest.raises(ParameterError, match="lengths must be finite integers"):
+            RandomInputModel(lengths=[10.9, 11.2], probabilities=[0.5, 0.5], theta=1, vartheta=1)
 
     def test_uniform_helper(self):
         model = RandomInputModel.uniform_gaussian(10, 20, 5, 7)
@@ -337,6 +339,30 @@ class TestEstimateExpectedQuadratic:
         model = RandomInputModel(lengths=[10], probabilities=[1.0], theta=2, vartheta=5)
         with pytest.raises(RedrawBudgetError):
             estimate_expected_quadratic(model, 3, 2, 0.5, seed=0)
+        # One draw per unit on two threads: each unit stops at its own budget.
+        monkeypatch.setattr(design, "QUAD_UNIT_RECORDS", 5)
+        with pytest.raises(RedrawBudgetError):
+            estimate_expected_quadratic(model, 3, 2, 0.5, seed=0, threads=2)
+
+    @pytest.mark.parametrize("unit_records", [100, 300])
+    def test_threads_change_no_bit(self, monkeypatch, unit_records):
+        # Seeds 0 and 6 redraw 3 and 9 replicates (see the pinned counts above).
+        # The default unit holds all 20 draws; 1 or 3 draws per unit use the pool.
+        model = RandomInputModel.uniform_gaussian(10, 20, 20, 100)
+        seeds = [derive(s, "design") for s in (0, 6)]
+        whole = [estimate_expected_quadratic(model, 9, 5, 0.1, seed, threads=2) for seed in seeds]
+        monkeypatch.setattr(design, "QUAD_UNIT_RECORDS", unit_records)
+        for seed, ref in zip(seeds, whole):
+            for threads in (1, 2):
+                split = estimate_expected_quadratic(model, 9, 5, 0.1, seed, threads=threads)
+                assert ref.redraws > 0 and split.redraws == ref.redraws
+                assert np.array_equal(split.matrix, ref.matrix)
+                assert split.offset == ref.offset
+
+    def test_threads_below_one_rejected(self):
+        model = RandomInputModel.uniform_gaussian(10, 12, 2, 3)
+        with pytest.raises(ParameterError, match="threads"):
+            estimate_expected_quadratic(model, 3, 2, 0.5, threads=0)
 
     @pytest.mark.parametrize("sigma2", [-0.1, np.nan])
     def test_invalid_measurement_noise_rejected(self, sigma2):

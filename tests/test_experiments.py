@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -392,6 +394,25 @@ class TestCli:
         assert main(["design-output", "--config", str(cfg)]) == 0
         assert main(["design-output", "--config", str(cfg), "--threads", "3"]) == 0
         assert seen == [1, 2, 3]
+
+    def test_simulate_and_design_output_leave_scipy_special_unloaded(self, tmp_path):
+        # Only the Gaussian calibration and the noisy privacy audit import scipy.special.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(LS_CONFIG.replace("replicates = 100000", "replicates = 200"))
+        code = (
+            "import sys; from firpriv.cli import main; "
+            f"assert main(['simulate', '--config', {str(cfg)!r}]) == 0; "
+            "print('scipy.special' in sys.modules); "
+            f"assert main(['design-output', '--config', {str(cfg)!r}]) == 0; "
+            "print('scipy.special' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        lines = out.stdout.splitlines()
+        assert [line for line in lines if line in ("True", "False")] == ["False", "False"]
 
     def test_design_output_command(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -227,6 +227,16 @@ class TestNoiseFactor:
         with pytest.raises(ConditioningError):
             build_filter_matrix([0.0, 0.0], 6).noise_factor(0.0)
 
+    @pytest.mark.parametrize("m, n, k", [(1, 20, 9), (21, 20, 1), (10, 300, 9), (4, 4, 1)])
+    def test_adjoint_matches_shifted_adds_bit_for_bit(self, m, n, k):
+        # Oracle: the loop of shifted adds, one band at a time, in ascending band order.
+        rng = np.random.default_rng(1000 * m + n + k)
+        bands, x = rng.standard_normal((m, n)), rng.standard_normal((n, k))
+        expected = np.zeros((n, k))
+        for j, c in enumerate(bands):
+            expected[: n - j] += c[: n - j, None] * x[j:]
+        assert np.array_equal(factor_adjoint(bands, x), expected)
+
     def test_adjoint_rejects_wrong_row_count(self):
         bands = build_filter_matrix([1.0, 0.5], 4).noise_factor(1.0)
         with pytest.raises(DimensionError):
@@ -461,7 +471,8 @@ def test_cli_import_skips_scipy_signal_and_stats():
     src = os.path.dirname(os.path.dirname(os.path.abspath(firpriv.__file__)))
     code = (
         "import sys, firpriv.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.special') "
+        "if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
