@@ -268,13 +268,19 @@ class RandomInputModel:
         _check_finite("probabilities", float(probs.sum()))
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
             raise ParameterError("probabilities must be nonnegative and sum to 1")
-        _check_finite("theta", self.theta, 1.0)
-        _check_finite("vartheta", self.vartheta, 1.0)
+        for name in ("theta", "vartheta"):
+            value = getattr(self, name)
+            _check_finite(name, value, 1.0)
+            if value != int(value):
+                raise ParameterError(f"{name} must be an integer, got {value}")
+            object.__setattr__(self, name, int(value))
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "probabilities", probs)
 
     @classmethod
     def uniform_gaussian(cls, min_length: int, max_length: int, theta: int, vartheta: int):
+        if max_length < min_length:
+            raise ParameterError(f"max_length {max_length} < min_length {min_length}")
         lengths = np.arange(min_length, max_length + 1)
         probs = np.full(lengths.size, 1.0 / lengths.size)
         return cls(lengths=lengths, probabilities=probs, theta=theta, vartheta=vartheta)

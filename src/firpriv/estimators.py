@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConditioningError, DimensionError, ParameterError, SingularKernelError
-from .lti import BandedFilterMatrix, FirModel, _check_finite, _samples
+from .lti import BandedFilterMatrix, FirModel, _check_finite, _samples, _windows
 
 #: Solves are rejected when the normal-equation condition estimate exceeds this.
 CONDITION_LIMIT = 1e12
@@ -50,6 +50,8 @@ class Kernel:
         k = np.asarray(self.matrix, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise DimensionError(f"kernel must be square, got shape {k.shape}")
+        if not np.all(np.isfinite(k)):
+            raise ParameterError("kernel matrix contains non-finite entries")
         scale = np.linalg.norm(k)
         if scale > 0 and np.max(np.abs(k - k.T)) > 1e-10 * scale:
             raise ParameterError("kernel matrix must be symmetric")
@@ -108,17 +110,6 @@ class RecordQuadratic(TraceQuadratic):
     estimator_map: Optional[np.ndarray] = None
     bias: float = 0.0
     noise_gain: float = 0.0
-
-
-def _noise_band(noise_matrix, rows: int) -> np.ndarray | None:
-    if noise_matrix is None:
-        return None
-    if isinstance(noise_matrix, BandedFilterMatrix):
-        noise_matrix = noise_matrix.matrix
-    band = np.asarray(noise_matrix, dtype=float)
-    if band.shape[0] != rows:
-        raise DimensionError(f"noise matrix rows {band.shape[0]} != regressor rows {rows}")
-    return band
 
 
 def _condition_numbers(mats: np.ndarray) -> np.ndarray:
@@ -258,21 +249,13 @@ def ls_gram_inverse(R) -> np.ndarray:
 
 
 def ls_covariance(R, noise_matrix=None, sigma2: float = 0.0) -> ErrorReport:
-    """Exact covariance of the least-squares estimate under MA masking noise.
+    """Exact covariance ``sigma2 E'E + (L'E)'(L'E)`` of the least-squares estimate.
 
-    With no masking noise the covariance is ``sigma2 * inv(R'R)``; with a
-    banded filter matrix L it is ``inv(R'R) R' (L L' + sigma2 I) R inv(R'R)``.
+    E is the record's estimator map ``R inv(R'R)`` from :func:`analyze_records`
+    and L the :class:`BandedFilterMatrix` ``noise_matrix`` (or None).  It takes
+    O(N*m*n_h); the dense band is never built.
     """
-    _check_finite("sigma2", sigma2, 0.0)
-    Rm = np.asarray(R, dtype=float)
-    ginv = ls_gram_inverse(Rm)
-    cov = sigma2 * ginv
-    band = _noise_band(noise_matrix, Rm.shape[0])
-    if band is not None:
-        T = band.T @ (Rm @ ginv)
-        cov = cov + T.T @ T
-    cov = (cov + cov.T) / 2.0
-    return ErrorReport(matrix=cov, trace=float(np.trace(cov)), adversary="LS")
+    return _error_report(R, noise_matrix, sigma2)
 
 
 def ls_trace_quadratic(R, sigma2: float, n_l: int) -> TraceQuadratic:
@@ -334,23 +317,40 @@ def rls_estimate(R, y, kernel: Kernel) -> LsEstimate:
 def rls_mse(
     R, h_true: FirModel, kernel: Kernel, noise_matrix=None, sigma2: float = 0.0
 ) -> ErrorReport:
-    """Exact mean-square-error matrix of the regularized estimate.
+    """Exact MSE matrix ``b b' + sigma2 E'E + (L'E)'(L'E)`` of the regularized estimate.
 
-    Includes the regularization bias term, which depends on the true
-    coefficients; the noise terms mirror :func:`ls_covariance`.
+    E is the record's estimator map C' from :func:`analyze_records` and
+    ``b = h - E'(R h)`` the regularization bias, which depends on the true
+    coefficients; L and the cost are as in :func:`ls_covariance`.
     """
-    _check_finite("sigma2", sigma2, 0.0)
+    return _error_report(R, noise_matrix, sigma2, kernel, h_true)
+
+
+def _error_report(R, noise_matrix, sigma2: float, kernel=None, h_true=None) -> ErrorReport:
+    """One record's error matrix from its estimator map E.
+
+    ``L'E`` is the full convolution of E's columns with the reversed filter.
+    """
     Rm = np.asarray(R, dtype=float)
-    C = rls_gain(R, kernel)
-    h = _samples(h_true)
-    bias_vec = h - C @ (Rm @ h)
-    mse = np.outer(bias_vec, bias_vec) + sigma2 * (C @ C.T)
-    band = _noise_band(noise_matrix, Rm.shape[0])
-    if band is not None:
-        CL = C @ band
-        mse = mse + CL @ CL.T
-    mse = (mse + mse.T) / 2.0
-    return ErrorReport(matrix=mse, trace=float(np.trace(mse)), adversary="RLS")
+    if Rm.ndim != 2:
+        raise DimensionError(f"need one (N, n_h) regressor, got shape {Rm.shape}")
+    if noise_matrix is not None and not isinstance(noise_matrix, BandedFilterMatrix):
+        raise ParameterError(f"noise_matrix must be a BandedFilterMatrix, got {type(noise_matrix)}")
+    if noise_matrix is not None and noise_matrix.n_samples != Rm.shape[0]:
+        raise DimensionError(
+            f"noise matrix rows {noise_matrix.n_samples} != regressor rows {Rm.shape[0]}"
+        )
+    E = analyze_records(Rm, sigma2, 1, kernel, h_true)[0].estimator_map
+    err = sigma2 * (E.T @ E)
+    if kernel is not None:
+        bias_vec = _samples(h_true) - E.T @ (Rm @ _samples(h_true))
+        err = err + np.outer(bias_vec, bias_vec)
+    if noise_matrix is not None:
+        m = noise_matrix.coeffs.size
+        LtE = _windows(E.T, m, trailing=m - 1) @ noise_matrix.coeffs[::-1]
+        err = err + LtE @ LtE.T
+    err = (err + err.T) / 2.0
+    return ErrorReport(err, float(np.trace(err)), "LS" if kernel is None else "RLS")
 
 
 def rls_trace_quadratic(
@@ -404,6 +404,8 @@ def analyze_records(
         if h_true is None:
             raise ParameterError("the regularized analysis requires h_true")
         h = _samples(h_true)
+        if h.size != Rs.shape[-1]:
+            raise DimensionError(f"h_true length {h.size} != coefficient count {Rs.shape[-1]}")
         gain = rls_gain(Rs, kernel)
         estimator_map = np.swapaxes(gain, 1, 2)
         # Stacked matmuls and sums repeat each record's own BLAS arithmetic.

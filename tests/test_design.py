@@ -274,6 +274,15 @@ class TestRandomInputModel:
         with pytest.raises(ParameterError, match="lengths must be finite integers"):
             RandomInputModel(lengths=[10.9, 11.2], probabilities=[0.5, 0.5], theta=1, vartheta=1)
 
+    @pytest.mark.parametrize("theta, vartheta", [(2.5, 3), (2, 3.5)])
+    def test_non_integer_budget_rejected(self, theta, vartheta):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            RandomInputModel([10, 11], [0.5, 0.5], theta, vartheta)
+
+    def test_empty_uniform_support_rejected(self):
+        with pytest.raises(ParameterError, match="max_length 10 < min_length 12"):
+            RandomInputModel.uniform_gaussian(12, 10, 5, 7)
+
     def test_uniform_helper(self):
         model = RandomInputModel.uniform_gaussian(10, 20, 5, 7)
         assert model.lengths.tolist() == list(range(10, 21))

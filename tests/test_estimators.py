@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from firpriv import (
     ConditioningError,
+    DimensionError,
     FirModel,
     FirprivError,
     Kernel,
@@ -127,6 +130,32 @@ class TestLsCovariance:
             np.testing.assert_allclose(report.matrix, report.matrix.T, atol=1e-12)
             assert np.linalg.eigvalsh(report.matrix).min() >= -1e-10 * report.trace
             assert report.trace == pytest.approx(np.sum(np.diag(report.matrix)))
+
+
+class TestNoiseMatrixArgument:
+    def test_error_matrices_never_build_the_dense_band(self):
+        rng = np.random.default_rng(23)
+        n, n_h = 2000, 9
+        reg = make_instance(rng, n, n_h)
+        band = build_filter_matrix(rng.standard_normal(10), n)
+        ls_covariance(reg, noise_matrix=band, sigma2=0.4)
+        rls_mse(reg, rng.standard_normal(n_h), spline_kernel(n_h), band, 0.4)
+        assert "matrix" not in vars(band)
+
+    def test_dense_array_stack_and_row_mismatch_are_typed_errors(self):
+        rng = np.random.default_rng(24)
+        reg = make_instance(rng, 12, 2)
+        band = build_filter_matrix(rng.standard_normal(3), 12)
+        for call in (
+            lambda nm: ls_covariance(reg, noise_matrix=nm, sigma2=0.1),
+            lambda nm: rls_mse(reg, np.ones(2), spline_kernel(2), nm, 0.1),
+        ):
+            with pytest.raises(ParameterError, match="BandedFilterMatrix"):
+                call(band.matrix)
+            with pytest.raises(DimensionError, match="noise matrix rows 11 != regressor rows 12"):
+                call(build_filter_matrix(rng.standard_normal(3), 11))
+        with pytest.raises(DimensionError, match="one"):
+            ls_covariance(np.stack([reg, reg]), sigma2=0.1)
 
 
 class TestLsTraceQuadratic:
@@ -414,6 +443,17 @@ class TestAnalyzeRecords:
         with pytest.raises(ParameterError, match="sigma2"):
             rls_mse(reg, np.ones(3), spline_kernel(3), sigma2=sigma2)
 
+    def test_truth_length_must_match_the_regressor(self):
+        reg = build_regressor(np.arange(1.0, 11.0), 2)
+        kernel = Kernel(np.eye(2), 1.0)
+        for call in (
+            lambda: analyze_records(reg, 0.1, 2, kernel, np.ones(3)),
+            lambda: rls_trace_quadratic(reg, np.ones(3), kernel, 0.1, 2),
+            lambda: rls_mse(reg, np.ones(3), kernel, sigma2=0.1),
+        ):
+            with pytest.raises(DimensionError, match="h_true length 3 != coefficient count 2"):
+                call()
+
     def test_regularized_analysis_requires_truth(self):
         reg = build_regressor(np.arange(1.0, 11.0), 3)
         with pytest.raises(ParameterError):
@@ -589,3 +629,10 @@ class TestKernelValidation:
     def test_eta_must_be_positive(self):
         with pytest.raises(ParameterError):
             Kernel(np.eye(2), eta=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="non-finite"):
+                Kernel(np.array([[bad]]), eta=1.0)

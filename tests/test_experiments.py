@@ -22,10 +22,12 @@ from firpriv import (
     generate_filtered_input,
     l2_sensitivity,
     laplace_mechanism,
+    ls_covariance,
     ls_gram_inverse,
     parse_config,
     parse_config_text,
     reproduce,
+    rls_mse,
     rls_trace_quadratic,
     stable_spline_kernel,
     stream,
@@ -35,10 +37,15 @@ from firpriv.cli import main
 from firpriv.experiments import (
     ATTACK_UNIT,
     CHUNK,
+    _design_fixed,
     _fixed_input_attack,
+    _resolve_fixed_input,
+    _resolve_kernel,
+    _resolve_plant,
     reference_plant,
     rows_to_csv,
 )
+from firpriv.lti import factor_adjoint
 from firpriv.rng import replicate_stream
 
 LS_CONFIG = """
@@ -314,6 +321,42 @@ class TestFixedInputAttack:
         assert folded == pytest.approx(whole, rel=1e-12)
 
 
+DESIGN_CONFIGS = {
+    "ls-output": LS_CONFIG,
+    "rls-output": LS_CONFIG + "adversary = rls\nrls_eta = 0.1\nrls_beta = 0.7\n",
+    "input": LS_CONFIG.replace("design_type = output_capped", "design_type = input_capped")
+    .replace("noise_order = 10", "noise_order = 5"),
+    "gaussian": DP_CONFIG.replace("design_type = dp_laplace", "design_type = dp_gaussian")
+    .replace("input_length = 64", "input_length = 200") + "dp_delta = 1e-5\n",
+}
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+@pytest.mark.parametrize("design", sorted(DESIGN_CONFIGS))
+def test_attack_noise_map_reproduces_the_error_matrix(design, n):
+    # The attack draws its Gaussian noise through M = C'E, with C C' = L L' + w I,
+    # so M'M + b b' is the analytic error matrix and its trace the prediction.
+    config = parse_config_text(DESIGN_CONFIGS[design].replace("input_length = 200",
+                                                               f"input_length = {n}"))
+    h = _resolve_plant(config)
+    r = _resolve_fixed_input(config, derive(config.seed, "input"))
+    reg = build_regressor(r, len(h))
+    _, mech, ma_coeffs, emap, predicted, _ = _design_fixed(config, h, r, reg)
+    w = config.sigma2 + (mech.noise_variance if mech is not None else 0.0)
+    band = build_filter_matrix(ma_coeffs if ma_coeffs is not None else [0.0], n)
+    noise_map = factor_adjoint(band.noise_factor(w), emap)
+    kernel = _resolve_kernel(config, len(h))
+    if kernel is None:
+        report, bias_vec = ls_covariance(reg, band, w), np.zeros(len(h))
+    else:
+        report = rls_mse(reg, h, kernel, band, w)
+        bias_vec = h.coeffs - emap.T @ (reg @ h.coeffs)
+    np.testing.assert_allclose(
+        noise_map.T @ noise_map + np.outer(bias_vec, bias_vec), report.matrix, rtol=1e-12
+    )
+    assert np.sum(noise_map**2) + bias_vec @ bias_vec == pytest.approx(predicted, rel=1e-12)
+
+
 class TestThreadCount:
     @pytest.mark.parametrize("threads", [0, -1])
     def test_library_rejects_fewer_than_one(self, threads):
@@ -491,6 +534,12 @@ class TestCli:
         assert main(["design-random", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "adversary" in err and "design_type" in err
+
+    def test_empty_length_range_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "random.cfg"
+        cfg.write_text(RANDOM_CONFIG.replace("random_max_length = 16", "random_max_length = 10"))
+        assert main(["design-random", "--config", str(cfg)]) == 1
+        assert "error: max_length 10 < min_length 12" in capsys.readouterr().err
 
     def test_reproduce_exit_code_on_tolerance_failure(self, tmp_path, capsys):
         # The bundled random scenario currently fails two reference checks.
