@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on parameter/conditioning errors, 2 when a
-reproduction run finishes but at least one tolerance check fails.
+Exit codes: 0 on success, 1 on usage, parameter, conditioning, config and
+file errors, 2 when a reproduction run finishes but at least one tolerance
+check fails.
 """
 from __future__ import annotations
 
@@ -151,7 +152,10 @@ def _cmd_reproduce(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means a failed check here
+        return 0 if exc.code == 0 else 1
     try:
         if args.command == "reproduce":
             return _cmd_reproduce(args)

@@ -196,8 +196,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     """Parse a configuration file (strict: unknown keys are errors)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {str(path)!r} is not UTF-8 text: {exc}") from exc
+    return parse_config_text(text)
 
 
 def format_config(config: ExperimentConfig) -> str:

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConditioningError, DimensionError, ParameterError, SingularKernelError
-from .lti import BandedFilterMatrix, FirModel, _check_finite, _samples, _windows
+from .lti import _LAPACK, BandedFilterMatrix, FirModel, _check_finite, _samples, _windows
+
+# SciPy's LAPACK wrappers, which lti loads without importing scipy.linalg.
+dpotrf, dpotrs = _LAPACK.dpotrf, _LAPACK.dpotrs
 
 #: Solves are rejected when the normal-equation condition estimate exceeds this.
 CONDITION_LIMIT = 1e12

@@ -154,6 +154,10 @@ def _resolve_fixed_input(config: ExperimentConfig, seed: int) -> np.ndarray:
     if config.input_type == "file":
         try:
             return np.loadtxt(config.input_file, dtype=float).ravel()
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot read input_file {config.input_file!r}: {exc.strerror}"
+            ) from exc
         except ValueError as exc:
             raise ConfigError(f"input_file {config.input_file!r} is not numeric: {exc}") from exc
     raise ConfigError(f"input_type {config.input_type!r} has no fixed realization")
@@ -549,10 +553,13 @@ def _reproduce_random(
 
 def _write_csv(out_dir, name: str, text: str) -> str:
     """Write ``text`` to ``<out_dir>/<name>.csv``, creating the directory; return the path."""
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{name}.csv")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write report {path!r}: {exc}") from exc
     return path
 
 

@@ -12,14 +12,43 @@ Conventions used throughout:
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf
+import scipy
 
 from .errors import ConditioningError, DimensionError, ParameterError, StabilityError
 from .rng import stream
+
+
+def _load_lapack():
+    """SciPy's compiled LAPACK wrappers, the module ``scipy.linalg.lapack`` re-exports.
+
+    Loaded from ``scipy/linalg`` by path so that ``scipy/linalg/__init__.py``,
+    more than half the start-up of every command, never runs.  The module is
+    registered under its own name, so a later ``import scipy.linalg`` shares it.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")]
+    )
+    if spec is None:
+        raise ImportError(f"cannot find {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_LAPACK = _load_lapack()
+dpbtrf = _LAPACK.dpbtrf
 
 #: Tolerance on |pole| < 1 used by the stability check.
 STABILITY_TOL = 1e-9

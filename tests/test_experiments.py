@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -42,6 +43,7 @@ from firpriv.experiments import (
     _resolve_fixed_input,
     _resolve_kernel,
     _resolve_plant,
+    _write_csv,
     reference_plant,
     rows_to_csv,
 )
@@ -456,6 +458,19 @@ class TestCli:
         )
         lines = out.stdout.splitlines()
         assert [line for line in lines if line in ("True", "False")] == ["False", "False"]
+        # No command loads scipy.linalg: the LAPACK wrappers come from its extension alone.
+        code = (
+            "import sys; from firpriv.cli import main; "
+            f"assert main(['simulate', '--config', {str(cfg)!r}]) == 0; "
+            f"assert main(['design-output', '--config', {str(cfg)!r}]) == 0; "
+            "assert main(['reproduce', '--which', 'rls', '--realizations', '5']) == 0; "
+            "print('scipy.linalg' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "False"
 
     def test_design_output_command(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -618,6 +633,68 @@ class TestCli:
             attack_simulation(parse_config(cfg))
         assert main(["dp-laplace", "--config", str(cfg)]) == 1
         assert "inputs.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case",
+        ["missing config", "config is a directory", "non-UTF-8 config",
+         "input_file is a directory", "out-dir is a file (design)",
+         "out-dir is a file (reproduce)"],
+    )
+    def test_file_system_error_exit_code(self, case, tmp_path, capsys):
+        absent = tmp_path / "absent.cfg"
+        a_dir = tmp_path / "a_dir"
+        a_dir.mkdir()
+        cfg = tmp_path / "dp.cfg"
+        cfg.write_text(DP_CONFIG)
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(DP_CONFIG.encode() + b"# caf\xe9\n")
+        dir_input = tmp_path / "dir_input.cfg"
+        dir_input.write_text(
+            DP_CONFIG.replace("input_type = white", f"input_type = file\ninput_file = {a_dir}")
+            .replace("input_length = 64\n", "")
+        )
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv, path, error, call = {
+            "missing config": (["dp-laplace", "--config", str(absent)], absent, ConfigError,
+                               lambda: parse_config(absent)),
+            "config is a directory": (["dp-laplace", "--config", str(a_dir)], a_dir,
+                                      ConfigError, lambda: parse_config(a_dir)),
+            "non-UTF-8 config": (["dp-laplace", "--config", str(latin1)], latin1, ConfigError,
+                                 lambda: parse_config(latin1)),
+            "input_file is a directory": (["dp-laplace", "--config", str(dir_input)], a_dir,
+                                          ConfigError,
+                                          lambda: attack_simulation(parse_config(dir_input))),
+            "out-dir is a file (design)": (
+                ["dp-laplace", "--config", str(cfg), "--out-dir", str(taken)], taken,
+                ParameterError, lambda: _write_csv(taken, "dp_laplace", "")),
+            "out-dir is a file (reproduce)": (
+                ["reproduce", "--which", "deterministic", "--realizations", "2",
+                 "--out-dir", str(taken)], taken, ParameterError,
+                lambda: reproduce(which="deterministic", realizations=2, out_dir=taken)),
+        }[case]
+        with pytest.raises(error, match=re.escape(str(path))) as info:
+            call()
+        assert isinstance(info.value.__cause__, (OSError, UnicodeDecodeError))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["nope"], 1), (["simulate"], 1), (["reproduce", "--threads", "abc"], 1),
+         (["reproduce", "--which", "nope"], 1), (["--help"], 0)],
+        ids=["unknown command", "missing --config", "non-integer --threads",
+             "unknown --which", "--help"],
+    )
+    def test_usage_error_exit_code(self, argv, code, capsys):
+        # 2 is kept for a reproduce run whose tolerance check failed.
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "usage: firpriv" in captured.err and "error: " in captured.err
+        else:
+            assert "usage: firpriv" in captured.out
 
     @pytest.mark.parametrize(
         "finite, bound", [("dp_lower = 0", "dp_lower = nan"), ("dp_upper = 1", "dp_upper = inf")]

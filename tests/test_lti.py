@@ -471,11 +471,42 @@ def test_cli_import_skips_scipy_signal_and_stats():
     src = os.path.dirname(os.path.dirname(os.path.abspath(firpriv.__file__)))
     code = (
         "import sys, firpriv.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.special') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.special', "
+        "'scipy.linalg', 'numpy.f2py') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "first, then", [("firpriv.cli", "scipy.linalg"), ("scipy.linalg", "firpriv.cli")]
+)
+def test_lapack_wrappers_are_scipys_in_either_import_order(first, then):
+    # One extension module object, whichever side imports it first.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(firpriv.__file__)))
+    code = (
+        f"import sys, {first}; print('scipy.linalg' in sys.modules); import {then}; "
+        "from scipy.linalg import lapack; from firpriv import estimators, lti; "
+        "print(sys.modules['scipy.linalg._flapack'] is lti._LAPACK, "
+        "lapack.dpotrf is estimators.dpotrf, lapack.dpotrs is estimators.dpotrs, "
+        "lapack.dpbtrf is lti.dpbtrf)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == [str(first == "scipy.linalg")] + ["True"] * 4
+
+
+def test_lapack_loader_names_a_missing_extension(monkeypatch, tmp_path):
+    import scipy
+
+    from firpriv import lti
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))  # no linalg/ there
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+        lti._load_lapack()
