@@ -551,11 +551,20 @@ def _reproduce_random(
     return rows
 
 
-def _write_csv(out_dir, name: str, text: str) -> str:
-    """Write ``text`` to ``<out_dir>/<name>.csv``, creating the directory; return the path."""
+def _report_path(out_dir, name: str) -> str:
+    """``<out_dir>/<name>.csv``, after creating the directory if it is missing."""
     path = os.path.join(out_dir, f"{name}.csv")
     try:
         os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot write report {path!r}: {exc}") from exc
+    return path
+
+
+def _write_csv(out_dir, name: str, text: str) -> str:
+    """Write ``text`` to ``<out_dir>/<name>.csv``, creating the directory; return the path."""
+    path = _report_path(out_dir, name)
+    try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
@@ -602,6 +611,8 @@ def reproduce(
         selected = [which]
     else:
         raise ParameterError(f"which must be one of {tuple(scenarios) + ('all',)}, got {which!r}")
+    if out_dir is not None:  # an unusable directory fails before the work, not after it
+        _report_path(out_dir, selected[0])
 
     all_rows: List[MetricRow] = []
     for name in selected:

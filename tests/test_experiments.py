@@ -241,7 +241,7 @@ def dense_band_attack(h, r, estimator_map, ma_coeffs, mech, sigma2, seed, replic
         if factor is not None:
             y += gen.standard_normal((count, n)) @ factor.T
         if mech is not None and mech.kind == "laplace":
-            centered = np.clip(gen.random((count, n)), 1e-300, 1.0 - 1e-16) - 0.5
+            centered = np.clip(gen.random((count, n)), 2.0**-53, 1.0 - 1e-16) - 0.5
             y += -mech.scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
         sq = np.sum((y @ estimator_map - h) ** 2, axis=1)
         total += sq.sum()
@@ -441,23 +441,32 @@ class TestCli:
         assert seen == [1, 2, 3]
 
     def test_simulate_and_design_output_leave_scipy_special_unloaded(self, tmp_path):
-        # Only the Gaussian calibration and the noisy privacy audit import scipy.special.
+        # No command imports scipy.special; only the Gaussian calibration and the
+        # noisy privacy audit load its compiled extension, on first use.
         cfg = tmp_path / "run.cfg"
         cfg.write_text(LS_CONFIG.replace("replicates = 100000", "replicates = 200"))
+        gauss = tmp_path / "gauss.cfg"
+        gauss.write_text(DESIGN_CONFIGS["gaussian"].replace("replicates = 30000", "replicates = 200"))
+        loaded = (
+            "print([m in sys.modules for m in ('scipy.special', 'scipy.special._special_ufuncs')])"
+        )
         code = (
             "import sys; from firpriv.cli import main; "
+            "from firpriv.privacy import CoefficientBox, privacy_audit; "
             f"assert main(['simulate', '--config', {str(cfg)!r}]) == 0; "
-            "print('scipy.special' in sys.modules); "
-            f"assert main(['design-output', '--config', {str(cfg)!r}]) == 0; "
-            "print('scipy.special' in sys.modules)"
+            f"assert main(['design-output', '--config', {str(cfg)!r}]) == 0; {loaded}; "
+            f"assert main(['dp-gaussian', '--config', {str(gauss)!r}]) == 0; {loaded}; "
+            f"assert main(['simulate', '--config', {str(gauss)!r}]) == 0; {loaded}; "
+            "privacy_audit([1.0, -0.5], CoefficientBox(0, 1, 2), 1.0, 1.0, sigma2=0.2); "
+            f"{loaded}"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
         out = subprocess.run(
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, text=True, check=True,
         )
-        lines = out.stdout.splitlines()
-        assert [line for line in lines if line in ("True", "False")] == ["False", "False"]
+        lines = [line for line in out.stdout.splitlines() if line.startswith("[")]
+        assert lines == ["[False, False]"] + ["[False, True]"] * 3
         # No command loads scipy.linalg: the LAPACK wrappers come from its extension alone.
         code = (
             "import sys; from firpriv.cli import main; "
@@ -679,6 +688,18 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("which", ["random", "all"])
+    def test_reproduce_checks_out_dir_before_any_scenario(self, which, tmp_path, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        calls = []
+        for name in ("_reproduce_deterministic", "_reproduce_rls", "_reproduce_random"):
+            monkeypatch.setattr(experiments, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(ParameterError, match=re.escape(str(taken))):
+            reproduce(which=which, out_dir=taken)
+        assert main(["reproduce", "--which", which, "--out-dir", str(taken)]) == 1
+        assert calls == []
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -509,4 +509,18 @@ def test_lapack_loader_names_a_missing_extension(monkeypatch, tmp_path):
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))  # no linalg/ there
     with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
-        lti._load_lapack()
+        lti._load_scipy_extension("linalg", "_flapack")
+
+
+def test_extension_loader_unregisters_a_module_that_fails_to_run(monkeypatch, tmp_path):
+    # A later package import must not find the half-run module.
+    import scipy
+
+    from firpriv import lti
+
+    (tmp_path / "special").mkdir()
+    (tmp_path / "special" / "_broken.py").write_text("raise RuntimeError('broken build')\n")
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(RuntimeError, match="broken build"):
+        lti._load_scipy_extension("special", "_broken")
+    assert "scipy.special._broken" not in sys.modules

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import types
 
 import mpmath
 import numpy as np
@@ -20,7 +24,8 @@ from firpriv import (
     privacy_audit,
     sample_mechanism,
 )
-from firpriv.privacy import _laplace_gauss_log_density
+from firpriv import privacy
+from firpriv.privacy import _draw_mechanism, _laplace_gauss_log_density
 
 
 def tail_integral(x: float) -> mpmath.mpf:
@@ -164,6 +169,15 @@ class TestGaussianTail:
                 hi = mid
         assert gaussian_tail_inverse(delta) == pytest.approx(0.5 * (lo + hi), rel=1e-14)
 
+    def test_inverse_within_4_ulp_of_ndtri(self):
+        from scipy.special import ndtri  # the oracle; the package never imports scipy.special
+
+        deltas = [5e-324, 1e-310, 1e-300, 1e-100, 1e-20, 1e-6, 0.1, 0.5, 0.9, 1 - 1e-6,
+                  0.15, 0.5 - 2.0**-54, 0.5000337569122224]  # log/erf switch, near the median
+        for delta in deltas:
+            oracle = -float(ndtri(delta))
+            assert abs(gaussian_tail_inverse(delta) - oracle) <= 4 * np.spacing(abs(oracle))
+
     def test_median_is_zero(self):
         assert gaussian_tail_inverse(0.5) == pytest.approx(0.0, abs=1e-12)
 
@@ -230,6 +244,15 @@ class TestSampleMechanism:
         mech = gaussian_mechanism(2.0, 0.5, 2.0)  # std = 1
         draws = sample_mechanism(mech, 1_000_000, seed=2)
         assert draws.var() == pytest.approx(1.0, rel=0.01)
+
+    def test_laplace_zero_uniform_draw_is_finite(self):
+        class ZeroUniforms:
+            def random(self, shape):
+                return np.zeros(shape)
+
+        mech = laplace_mechanism(epsilon=1.0, sensitivity=1.0)
+        noise = _draw_mechanism(ZeroUniforms(), mech, 3)
+        np.testing.assert_allclose(noise, -52.0 * math.log(2.0), rtol=1e-15)
 
     def test_deterministic_in_seed(self):
         mech = laplace_mechanism(epsilon=1.0, sensitivity=1.0)
@@ -320,3 +343,41 @@ def test_invalid_measurement_noise_rejected(sigma2):
         laplace_mechanism(1.0, 1.0, sigma2=sigma2)
     with pytest.raises(ParameterError, match="sigma2"):
         gaussian_mechanism(1.0, 1e-5, 1.0, sigma2=sigma2)
+
+
+@pytest.mark.parametrize(
+    "first, then", [("firpriv.cli", "scipy.special"), ("scipy.special", "firpriv.cli")]
+)
+def test_log_ndtr_is_scipys_in_either_import_order(first, then):
+    # One extension module object, whichever side loads it first.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(privacy.__file__)))
+    code = (
+        f"import sys, {first}; from firpriv import privacy; log_ndtr = privacy._log_ndtr(); "
+        f"print('scipy.special' in sys.modules); import {then}; import scipy.special; "
+        "print(scipy.special.log_ndtr is log_ndtr is privacy._log_ndtr())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == [str(first == "scipy.special"), "True"]
+
+
+@pytest.mark.parametrize("failure", ["missing extension", "extension without log_ndtr"])
+def test_failed_extension_load_falls_back_to_public_log_ndtr(failure, monkeypatch):
+    import scipy.special
+
+    def values():
+        tails = [gaussian_tail_inverse(d) for d in (5e-324, 1e-100, 1e-6, 0.1)]
+        box = CoefficientBox(0.0, 1.0, 2)
+        return tails + [privacy_audit([1.0, -0.5, 0.3], box, 1.0, 0.8, sigma2=0.2)]
+
+    def failing_loader(subpackage, module):
+        if failure == "missing extension":
+            raise ImportError(f"cannot find scipy.{subpackage}.{module}")
+        return types.SimpleNamespace()
+
+    expected = values()
+    monkeypatch.setattr(privacy, "_load_scipy_extension", failing_loader)
+    assert privacy._log_ndtr() is scipy.special.log_ndtr
+    assert values() == expected
