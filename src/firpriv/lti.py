@@ -31,9 +31,9 @@ def _load_scipy_extension(subpackage: str, module: str):
 
     Loaded from ``scipy/<subpackage>`` by path so that the subpackage's
     ``__init__.py`` never runs: for ``linalg`` it is more than half the
-    start-up of every command, for ``special`` about 0.2 s and 17 MB.  The
-    module is registered under its own name, so a later ``import
-    scipy.<subpackage>`` shares it.
+    start-up of every command, for ``signal`` about 1 s and 75 MB, for
+    ``special`` about 0.2 s and 17 MB.  The module is registered under its
+    own name, so a later ``import scipy.<subpackage>`` shares it.
     """
     name = f"scipy.{subpackage}.{module}"
     if name in sys.modules:
@@ -56,6 +56,8 @@ def _load_scipy_extension(subpackage: str, module: str):
 #: SciPy's compiled LAPACK wrappers, the module ``scipy.linalg.lapack`` re-exports.
 _LAPACK = _load_scipy_extension("linalg", "_flapack")
 dpbtrf = _LAPACK.dpbtrf
+#: SciPy's compiled signal-processing routines, which hold ``lfilter``'s kernel.
+_SIGTOOLS = _load_scipy_extension("signal", "_sigtools")
 
 #: Tolerance on |pole| < 1 used by the stability check.
 STABILITY_TOL = 1e-9
@@ -195,15 +197,13 @@ class BandedFilterMatrix:
 
 
 def _lfilter(num, den, x):
-    """Zero-state response of ``num / den`` to ``x``, in direct form II transposed.
+    """Zero-state response of ``num / den`` to ``x``, along the last axis.
 
-    Follows the operation order of scipy's ``lfilter`` for float64 data, so
-    the results are the same bit for bit.  Both coefficient vectors are
-    divided by ``den[0]`` and the shorter is zero-padded to length m; then,
-    per sample, ``y = z[0] + b[0]*x``, ``z[k] = (z[k+1] + x*b[k+1]) - y*a[k+1]``
-    and ``z[m-2] = x*b[m-1] - y*a[m-1]``.  A one-entry ``den`` takes scipy's
-    convolution path instead.  A (b, N) stack runs the recursion on NumPy
-    columns, in the same order, so each row has its one-record bits.
+    Runs SciPy's compiled ``lfilter`` kernel (direct form II transposed),
+    loaded without ``scipy.signal``'s package import, as ``scipy.signal.lfilter``
+    calls it for float64 data with no initial state; a one-entry ``den`` takes
+    lfilter's convolution path instead.  Either way the results are lfilter's,
+    bit for bit.
     """
     b = np.asarray(num, dtype=float)
     a = np.asarray(den, dtype=float)
@@ -211,33 +211,7 @@ def _lfilter(num, den, x):
     if a.size == 1:
         rows = [np.convolve(b / a[0], row)[: x.shape[-1]] for row in np.atleast_2d(x)]
         return np.array(rows).reshape(x.shape)
-
-    m = max(a.size, b.size)
-    a0 = a[0]
-    b = (np.concatenate([b, np.zeros(m - b.size)]) / a0).tolist()
-    a = (np.concatenate([a, np.zeros(m - a.size)]) / a0).tolist()
-    samples = x.tolist() if x.ndim == 1 else np.ascontiguousarray(x.T)
-    out = []
-    append = out.append
-    b0 = b[0]
-    if m == 2:
-        # First order: every AR(1) input record takes this loop.
-        b1, a1 = b[1], a[1]
-        state = 0.0
-        for xk in samples:
-            yk = state + b0 * xk
-            state = xk * b1 - yk * a1
-            append(yk)
-    else:
-        z = [0.0] * (m - 1)
-        last = m - 2
-        for xk in samples:
-            yk = z[0] + b0 * xk
-            for k in range(last):
-                z[k] = (z[k + 1] + xk * b[k + 1]) - yk * a[k + 1]
-            z[last] = xk * b[m - 1] - yk * a[m - 1]
-            append(yk)
-    return np.array(out, dtype=float).T
+    return _SIGTOOLS._linear_filter(b, a, x, -1)
 
 
 def impulse_response(g: RationalFilter, n: int) -> np.ndarray:

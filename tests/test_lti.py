@@ -24,6 +24,7 @@ from firpriv import (
     simulate,
     stream,
 )
+from firpriv import lti
 from firpriv.lti import _lfilter, factor_adjoint
 from helpers import ma_convolve, zero_state_convolution
 
@@ -89,6 +90,22 @@ class TestFirTruncate:
         assert tail == pytest.approx(oracle_tail, rel=1e-9)
         assert tail == pytest.approx(REF_TAIL_L1, rel=1e-9)
         assert tail == pytest.approx(0.0507, abs=5e-5)
+
+    @pytest.mark.parametrize("pole, summed", [(0.999, 274 * 2**8), (0.99999, 10**6)])
+    def test_slow_decay_against_the_geometric_tail(self, monkeypatch, pole, summed):
+        # n doubles from 2*order + 256 = 274 until the tail converges, or stops at the 10**6 cap.
+        lengths = []
+
+        def recording_impulse_response(g, n):
+            lengths.append(n)
+            return impulse_response(g, n)
+
+        monkeypatch.setattr(lti, "impulse_response", recording_impulse_response)
+        _, tail = fir_truncate(RationalFilter([1.0], [1.0, -pole]), 9)
+        *sums, _ = lengths  # the last call builds the model
+        assert sums == [min(274 * 2**k, 10**6) for k in range(len(sums))]
+        assert sums[-1] == summed
+        assert tail == pytest.approx(pole**9 * (1 - pole ** (summed - 9)) / (1 - pole), rel=1e-12)
 
     def test_fir_input_has_zero_tail(self):
         g = RationalFilter([0.5, 0.25, -0.1], [1.0])
@@ -385,7 +402,12 @@ class TestGenerateFilteredInput:
 
 
 class TestLfilterMatchesScipy:
-    """``lti._lfilter`` against ``scipy.signal.lfilter``, bit for bit."""
+    """``lti._lfilter`` against ``scipy.signal.lfilter``, bit for bit.
+
+    ``_lfilter`` runs lfilter's own compiled kernel, loaded by path, so these
+    check that it calls the kernel as lfilter does and that its one-entry
+    ``den`` takes lfilter's convolution path.
+    """
 
     LENGTHS = (1, 2, 3, 5, 17, 64, 300)
 
@@ -482,23 +504,34 @@ def test_cli_import_skips_scipy_signal_and_stats():
 
 
 @pytest.mark.parametrize(
-    "first, then", [("firpriv.cli", "scipy.linalg"), ("scipy.linalg", "firpriv.cli")]
+    "first, then",
+    [
+        ("firpriv.cli", "scipy.linalg"),
+        ("scipy.linalg", "firpriv.cli"),
+        ("firpriv.cli", "scipy.signal"),
+        ("scipy.signal", "firpriv.cli"),
+    ],
 )
 def test_lapack_wrappers_are_scipys_in_either_import_order(first, then):
-    # One extension module object, whichever side imports it first.
+    # One extension module object per compiled SciPy module, whichever side
+    # imports it first; ``_signaltools`` is where ``scipy.signal.lfilter`` runs.
+    package = first if first != "firpriv.cli" else then
     src = os.path.dirname(os.path.dirname(os.path.abspath(firpriv.__file__)))
     code = (
-        f"import sys, {first}; print('scipy.linalg' in sys.modules); import {then}; "
-        "from scipy.linalg import lapack; from firpriv import estimators, lti; "
+        f"import sys, {first}; print({package!r} in sys.modules); import {then}; "
+        "from scipy.linalg import lapack; from scipy.signal import _signaltools, _sigtools; "
+        "from firpriv import estimators, lti; "
         "print(sys.modules['scipy.linalg._flapack'] is lti._LAPACK, "
         "lapack.dpotrf is estimators.dpotrf, lapack.dpotrs is estimators.dpotrs, "
-        "lapack.dpbtrf is lti.dpbtrf)"
+        "lapack.dpbtrf is lti.dpbtrf, "
+        "sys.modules['scipy.signal._sigtools'] is lti._SIGTOOLS is _sigtools, "
+        "_signaltools._sigtools is lti._SIGTOOLS)"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == [str(first == "scipy.linalg")] + ["True"] * 4
+    assert out.stdout.split() == [str(first != "firpriv.cli")] + ["True"] * 6
 
 
 def test_lapack_loader_names_a_missing_extension(monkeypatch, tmp_path):

@@ -36,17 +36,26 @@ def tail_integral(x: float) -> mpmath.mpf:
         )
 
 
-def bisect_tail_inverse(delta: float) -> float:
-    lo, hi = -40.0, 40.0
+def newton_tail_inverse(delta: float) -> float:
+    """Root of ``tail_integral(x) = delta`` by Newton's method on the quadrature (T' = -phi).
+
+    Started from 0 and kept inside a bracket shrunk from [-40, 40]: a step
+    that leaves it is replaced by the bracket's midpoint.
+    """
+    lo, hi, x = -40.0, 40.0, mpmath.mpf(0)
     with mpmath.workdps(40):
         target = mpmath.mpf(delta)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if tail_integral(mid) > target:
-                lo = mid
+        for _ in range(100):
+            excess = tail_integral(x) - target
+            step = excess * mpmath.sqrt(2 * mpmath.pi) * mpmath.exp(x * x / 2)
+            if abs(step) < 1e-16:
+                return float(x + step)
+            if excess > 0:
+                lo = x
             else:
-                hi = mid
-    return 0.5 * (lo + hi)
+                hi = x
+            x = x + step if lo < x + step < hi else (lo + hi) / 2
+    raise AssertionError(f"Newton oracle did not converge at delta={delta}")
 
 
 DELTA_GRID = [1e-6, 1e-3, 0.05, 0.25, 0.5, 0.75, 0.95, 1 - 1e-3, 1 - 1e-6]
@@ -143,9 +152,9 @@ class TestLaplaceMechanism:
 
 
 class TestGaussianTail:
-    def test_inverse_matches_bisection_oracle(self):
+    def test_inverse_matches_newton_oracle(self):
         for delta in DELTA_GRID:
-            oracle = bisect_tail_inverse(delta)
+            oracle = newton_tail_inverse(delta)
             assert gaussian_tail_inverse(delta) == pytest.approx(oracle, abs=1e-10)
 
     def test_round_trip(self):
