@@ -19,12 +19,6 @@ from .rng import stream
 #: Output grid size of the exhaustive density audit.
 AUDIT_GRID_POINTS = 2001
 
-#: log sqrt(2 pi), the log of the standard normal density's normalizer.
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-#: Newton steps after which ``gaussian_tail_inverse`` stops; sampled deltas needed at most 9.
-_NEWTON_STEPS = 32
-
 
 @dataclass(frozen=True)
 class CoefficientBox:
@@ -135,41 +129,18 @@ def _log_ndtr():
 
 
 def gaussian_tail_inverse(delta: float) -> float:
-    """The x with P{Z > x} = delta, Z standard normal; accurate down to delta = 5e-324.
+    """The x with P{Z > x} = delta, Z standard normal.
 
-    Newton's method on the tail P{Z > x} = Phi(-x), from the asymptotic start
-    ``sqrt(t - log t - log 2 pi)`` with ``t = -2 log delta``.  Below
-    delta = 0.15 it solves ``log_ndtr(-x) = log delta``, so no tail underflows;
-    from there to 1/2 it solves ``erf(x / sqrt 2) / 2 = 1/2 - delta``, which
-    keeps x's relative accuracy near the median; above 1/2 it uses the
-    symmetry in ``1 - delta``.  It stops at a step below 1e-16 relative or one
-    that no longer shrinks.  On 72,000 sampled deltas from 5e-324 to
-    1 - 2**-53 it was within 4 ulp of ``scipy.special.ndtri``.
+    ``-NormalDist().inv_cdf(delta)`` from the standard library (Wichura's
+    AS241 normal quantile).  On sampled deltas from 5e-324 to 1 - 1e-15 it was
+    within 7 ulp of ``scipy.special.ndtri`` (55,005 deltas) and within 6 ulp
+    of a 40-digit mpmath root (2,900 deltas).
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
-    if delta > 0.5:
-        return -gaussian_tail_inverse(1.0 - delta)  # 1 - delta is exact here
-    log_ndtr = _log_ndtr() if delta < 0.15 else None
-    log_delta = math.log(delta)
-    t = -2.0 * log_delta
-    x = math.sqrt(max(t - math.log(max(t, 1.0)) - 2.0 * _LOG_SQRT_2PI, 0.0))
-    last = math.inf
-    for _ in range(_NEWTON_STEPS):
-        # Residual over minus its slope: -phi(x) / Phi(-x) in log space, -phi(x) for erf.
-        if log_ndtr is not None:
-            log_tail = float(log_ndtr(-x))
-            step = (log_tail - log_delta) * math.exp(log_tail + 0.5 * x * x + _LOG_SQRT_2PI)
-        else:
-            residual = 0.5 - delta - 0.5 * math.erf(x / math.sqrt(2.0))
-            step = residual * math.exp(0.5 * x * x + _LOG_SQRT_2PI)
-        if not abs(step) < last:  # rounding noise: the iterate cannot get closer
-            break
-        x += step
-        if abs(step) <= 1e-16 * x:
-            break
-        last = abs(step)
-    return x
+    from statistics import NormalDist  # loaded on first use: the CLI import skips it
+
+    return -NormalDist().inv_cdf(delta)
 
 
 def gaussian_noise_multiplier(epsilon: float, delta: float) -> float:
@@ -264,6 +235,7 @@ def privacy_audit(
     keeps the result at or below epsilon up to rounding.
     """
     samples = _samples(r)
+    _check_finite("epsilon", epsilon, 0.0, strict=True)
     _check_finite("sigma2", sigma2, 0.0)
     if samples.size > 4 or box.n_h > 2:
         raise AuditSizeError(

@@ -1,4 +1,5 @@
-"""The package's public name list and the scalar checks of its entry points."""
+"""The package's public name list and the scalar and shape checks of its entry points."""
+import numpy as np
 import pytest
 
 import firpriv
@@ -82,3 +83,93 @@ def test_replicate_stream_repeats_its_address_and_differs_from_stream():
     assert (replicate_stream(3, "attack", 1).standard_normal(64) == draws).all()
     assert not (replicate_stream(3, "attack", 2).standard_normal(64) == draws).any()
     assert not (firpriv.stream(3, "attack", 1).standard_normal(64) == draws).any()
+
+
+_G = firpriv.RationalFilter([1.0, -0.2], [1.0, -0.9, 0.17])
+_CONFIG = """
+plant_type = rational
+plant_num = 1, -0.2
+plant_den = 1, -0.9, 0.17
+plant_fir_order = 9
+input_type = white
+input_length = 50
+design_type = output_capped
+noise_order = 3
+sigma2 = 1.0
+gamma1 = 2.0
+"""
+
+
+def _mechanism(kind, delta):
+    return lambda: firpriv.DpMechanism(kind, 1.0, 1.0, delta, 1.0, 2.0)
+
+
+def _kernel(n):
+    return firpriv.Kernel(np.eye(n), 1.0)
+
+
+# Each call breaks one shape or range guard of a public entry point.
+TYPED_GUARD_CALLS = {
+    "FirModel 2-D": (lambda: firpriv.FirModel([[1, 2]]), firpriv.DimensionError),
+    "FirModel empty": (lambda: firpriv.FirModel([]), firpriv.DimensionError),
+    "fir_truncate order=0": (lambda: firpriv.fir_truncate(_G, 0), firpriv.ParameterError),
+    "build_regressor n_h=0": (lambda: firpriv.build_regressor(_R, 0), firpriv.ParameterError),
+    "convolution_matrix n_cols=0": (
+        lambda: firpriv.convolution_matrix([1.0], 0), firpriv.ParameterError),
+    "generate_filtered_input n=0": (
+        lambda: firpriv.generate_filtered_input(_G, 0), firpriv.ParameterError),
+    "analyze_records n_l=0": (
+        lambda: firpriv.analyze_records(firpriv.build_regressor(_R, 2), 1.0, 0),
+        firpriv.ParameterError),
+    "estimate_expected_quadratic n_l=0": (
+        lambda: firpriv.estimate_expected_quadratic(
+            firpriv.RandomInputModel([10, 11], [0.5, 0.5], 1, 1), 3, 0, 0.5),
+        firpriv.ParameterError),
+    "box n_h=0": (lambda: firpriv.CoefficientBox(0, 1, 0), firpriv.ParameterError),
+    "mechanism kind=uniform": (_mechanism("uniform", 0.0), firpriv.ParameterError),
+    "laplace delta!=0": (_mechanism("laplace", 0.1), firpriv.ParameterError),
+    "gaussian delta=1.5": (_mechanism("gaussian", 1.5), firpriv.ParameterError),
+    "sample_mechanism n=0": (
+        lambda: firpriv.sample_mechanism(firpriv.laplace_mechanism(1.0, 1.0), 0),
+        firpriv.ParameterError),
+    "privacy_audit b=0": (
+        lambda: firpriv.privacy_audit([1.0], firpriv.CoefficientBox(0, 1, 1), 1.0, 0.0),
+        firpriv.ParameterError),
+    "kernel non-square": (lambda: firpriv.Kernel(np.ones((2, 3)), 1.0), firpriv.DimensionError),
+    "ls_estimate y length": (
+        lambda: firpriv.ls_estimate(firpriv.build_regressor(_R, 2), [1.0, 2.0]),
+        firpriv.DimensionError),
+    "rls_estimate y length": (
+        lambda: firpriv.rls_estimate(firpriv.build_regressor(_R, 2), [1.0, 2.0], _kernel(2)),
+        firpriv.DimensionError),
+    "rls_gain kernel size": (
+        lambda: firpriv.rls_gain(firpriv.build_regressor(_R, 2), _kernel(3)),
+        firpriv.DimensionError),
+    "random model unequal sizes": (
+        lambda: firpriv.RandomInputModel([10, 11, 12], [0.5, 0.5], 1, 1),
+        firpriv.DimensionError),
+    "capped non-square quadratic": (
+        lambda: firpriv.design_output_capped(
+            firpriv.TraceQuadratic(np.ones((2, 3)), 0.5), 1.0, 2.0),
+        firpriv.DimensionError),
+    "config replicates=0": (
+        lambda: firpriv.parse_config_text(_CONFIG + "replicates = 0\n"), firpriv.ConfigError),
+    "config plant_coeffs=,": (
+        lambda: firpriv.parse_config_text(
+            _CONFIG.replace("plant_type = rational", "plant_type = fir\nplant_coeffs = ,")),
+        firpriv.ConfigError),
+    "config plant_type=iir": (
+        lambda: firpriv.parse_config_text(
+            _CONFIG.replace("plant_type = rational", "plant_type = iir")),
+        firpriv.ConfigError),
+    "config adversary=gls": (
+        lambda: firpriv.parse_config_text(_CONFIG + "adversary = gls\n"), firpriv.ConfigError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_GUARD_CALLS))
+def test_guards_raise_their_typed_error(case):
+    call, error = TYPED_GUARD_CALLS[case]
+    with pytest.raises(firpriv.FirprivError) as info:
+        call()
+    assert type(info.value) is error

@@ -195,6 +195,14 @@ class TestNonpositiveSigma2:
 
 
 class TestDesignInputCapped:
+    def test_zero_objective_returns_unmasked_design(self):
+        quad_f = TraceQuadratic(np.zeros((4, 4)), 0.5)
+        result = design._design_input(quad_f, np.array([1.0, 0.5]), 1.0, 2.0, 3)
+        np.testing.assert_array_equal(result.l_star, np.zeros(3))
+        assert result.degenerate_objective
+        assert result.rho == 1.0
+        assert result.predicted_trace == 0.5
+
     def test_identity_plant_reduces_to_output_design(self):
         rng = np.random.default_rng(7)
         r = random_regressor(rng, 30, 1)[:, 0]

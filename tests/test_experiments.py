@@ -14,6 +14,7 @@ from firpriv import (
     Kernel,
     ParameterError,
     RationalFilter,
+    RedrawBudgetError,
     attack_simulation,
     build_filter_matrix,
     build_regressor,
@@ -215,6 +216,30 @@ seed = 7
         b = attack_simulation(config, seed=2)
         assert a.empirical_trace != b.empirical_trace
         assert a.predicted_trace != b.predicted_trace  # white input redrawn too
+
+    @pytest.mark.parametrize("seed", [1624, 2226])
+    def test_random_attack_over_failure_budget_raises(self, seed):
+        # The 20 x 100 random-input reference scenario with one replicate: at
+        # these seeds that replicate's regressor hits the conditioning limit.
+        text = """
+plant_type = rational
+plant_num = 1, -0.2
+plant_den = 1, -0.9, 0.17
+plant_fir_order = 9
+input_type = random_model
+random_min_length = 10
+random_max_length = 20
+random_theta = 20
+random_vartheta = 100
+design_type = output_random
+noise_order = 5
+sigma2 = 0.1
+gamma1 = 0.2
+replicates = 1
+seed = 0
+"""
+        with pytest.raises(RedrawBudgetError, match="1 of 1 attack replicates hit"):
+            attack_simulation(parse_config_text(text), seed=seed)
 
 
 def dense_band_attack(h, r, estimator_map, ma_coeffs, mech, sigma2, seed, replicates):
@@ -441,8 +466,8 @@ class TestCli:
         assert seen == [1, 2, 3]
 
     def test_simulate_and_design_output_leave_scipy_special_unloaded(self, tmp_path):
-        # No command imports scipy.special; only the Gaussian calibration and the
-        # noisy privacy audit load its compiled extension, on first use.
+        # No command imports scipy.special; only the noisy privacy audit loads its
+        # compiled extension, on first use.  The Gaussian calibration does not.
         cfg = tmp_path / "run.cfg"
         cfg.write_text(LS_CONFIG.replace("replicates = 100000", "replicates = 200"))
         gauss = tmp_path / "gauss.cfg"
@@ -466,7 +491,7 @@ class TestCli:
             capture_output=True, text=True, check=True,
         )
         lines = [line for line in out.stdout.splitlines() if line.startswith("[")]
-        assert lines == ["[False, False]"] + ["[False, True]"] * 3
+        assert lines == ["[False, False]"] * 3 + ["[False, True]"]
         # No command loads scipy.linalg: the LAPACK wrappers come from its extension alone.
         code = (
             "import sys; from firpriv.cli import main; "

@@ -490,11 +490,12 @@ class TestLfilterMatchesScipy:
 
 
 def test_cli_import_skips_scipy_signal_and_stats():
+    # statistics too: the Gaussian tail inverse imports it on first use.
     src = os.path.dirname(os.path.dirname(os.path.abspath(firpriv.__file__)))
     code = (
         "import sys, firpriv.cli; "
         "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.special', "
-        "'scipy.linalg', 'numpy.f2py') if m in sys.modules))"
+        "'scipy.linalg', 'numpy.f2py', 'statistics') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(

@@ -390,3 +390,10 @@ def test_failed_extension_load_falls_back_to_public_log_ndtr(failure, monkeypatc
     monkeypatch.setattr(privacy, "_load_scipy_extension", failing_loader)
     assert privacy._log_ndtr() is scipy.special.log_ndtr
     assert values() == expected
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+def test_audit_rejects_invalid_epsilon(epsilon):
+    box = CoefficientBox(0.0, 1.0, 2)
+    with pytest.raises(ParameterError, match="epsilon"):
+        privacy_audit([1.0, -0.5, 0.3], box, epsilon=epsilon, b=1.0)
