@@ -31,7 +31,7 @@ from .estimators import (
     FAILURE_BUDGET,
     Kernel,
     TraceQuadratic,
-    _screened_inverse,
+    _screened_maps,
     _toeplitz,
     analyze_records,
 )
@@ -73,7 +73,12 @@ class DesignResult:
 
 
 def _tie_break_sign(v: np.ndarray) -> np.ndarray:
-    """Scale so the entry of largest magnitude is positive (ties: lowest index)."""
+    """Scale so the entry of largest magnitude is positive (ties: lowest index).
+
+    Only bit-equal magnitudes tie.  The mirrored entries of an antisymmetric top
+    eigenvector differ by rounding, so rounding decides its sign; a relative
+    tolerance would settle it, but changes recorded designs (ROADMAP item 1B).
+    """
     idx = int(np.argmax(np.abs(v)))
     return -v if v[idx] < 0 else v
 
@@ -322,12 +327,11 @@ def estimate_expected_quadratic(
         )
 
     total = model.theta * model.vartheta
-    redraw_budget = FAILURE_BUDGET * total
     length_gen = stream(seed, "quad-lengths")
     lengths = length_gen.choice(model.lengths, size=model.theta, p=model.probabilities)
 
     def check_redraws(redraws: int) -> None:
-        if redraws > redraw_budget:
+        if redraws > FAILURE_BUDGET * total:
             raise RedrawBudgetError(
                 f"{redraws} ill-conditioned replicates exceed the redraw budget "
                 f"({FAILURE_BUDGET:.1%} of {total})"
@@ -339,16 +343,13 @@ def estimate_expected_quadratic(
         r_block = gen.standard_normal((model.vartheta, n))
         redraws = 0
         while True:
-            R = build_regressor(r_block, n_h)
-            gram = np.einsum("bij,bik->bjk", R, R)
-            good, gram_inv = _screened_inverse(gram)
+            good, _, gram_inv, A = _screened_maps(r_block, n_h)  # rows of E = A A'
             bad = ~good
             if not bad.any():
                 break
             redraws += int(bad.sum())
             check_redraws(redraws)
             r_block[bad] = gen.standard_normal((int(bad.sum()), n))
-        A = np.einsum("bij,bjk->bik", R, gram_inv)  # rows of E = A A'
         # Lags d >= N do not overlap the record, so their sums are zero.
         lags = np.zeros(n_l)
         for d in range(min(n_l, n)):

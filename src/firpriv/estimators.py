@@ -15,7 +15,9 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConditioningError, DimensionError, ParameterError, SingularKernelError
-from .lti import _LAPACK, BandedFilterMatrix, FirModel, _check_finite, _samples, _windows
+from .lti import (
+    _LAPACK, BandedFilterMatrix, FirModel, _check_finite, _samples, _windows, build_regressor,
+)
 
 # SciPy's LAPACK wrappers, which lti loads without importing scipy.linalg.
 dpotrf, dpotrs = _LAPACK.dpotrf, _LAPACK.dpotrs
@@ -147,6 +149,19 @@ def _screened_inverse(grams: np.ndarray):
         good[rest] = _condition_numbers(grams[rest]) <= CONDITION_LIMIT
         inverses = inverses[good]
     return good, inverses
+
+
+def _screened_maps(records: np.ndarray, n_h: int):
+    """``(good, R, gram_inv, A)``: a (b, N) record stack screened, with LS maps ``A = R inv(R'R)``.
+
+    ``R``, ``gram_inv`` and ``A`` cover the accepted records (``R`` is a view if all are).
+    Grams and maps are ``einsum``s: matmuls round differently and move the random design.
+    """
+    R = build_regressor(records, n_h)
+    good, gram_inv = _screened_inverse(np.einsum("bij,bik->bjk", R, R))
+    if not good.all():
+        R = R[good]
+    return good, R, gram_inv, np.einsum("bij,bjk->bik", R, gram_inv)
 
 
 def _toeplitz(c: np.ndarray) -> np.ndarray:

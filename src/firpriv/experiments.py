@@ -35,7 +35,7 @@ from .errors import ConfigError, ParameterError, RedrawBudgetError
 from .estimators import (
     FAILURE_BUDGET,
     Kernel,
-    _screened_inverse,
+    _screened_maps,
     analyze_records,
     ls_trace_quadratic,
     rls_trace_quadratic,
@@ -255,47 +255,32 @@ def _random_input_attack(
 ):
     """Empirical error trace when each attack draws its own record length and input.
 
-    Inputs are i.i.d. standard Gaussian, as :class:`RandomInputModel` has them.
-    The MA noise is the valid-mode convolution of each driving row with the filter.
+    Inputs are i.i.d. standard Gaussian, as :class:`RandomInputModel` has them,
+    screened per length by :func:`_screened_maps`.  The MA noise is the valid-mode
+    convolution of each driving row with the filter; shorter records take a prefix.
     """
-    n_h = h.size
     max_len = int(model.lengths.max())
-    m = ma_coeffs.size if ma_coeffs is not None else 1
-    sigma = np.sqrt(sigma2)
+    ma = ma_coeffs if ma_coeffs is not None else np.zeros(1)  # no filter: zero MA noise
 
     def worker(chunk_idx: int, count: int):
         gen = stream(seed, "attack", chunk_idx)
         lengths = gen.choice(model.lengths, size=count, p=model.probabilities)
         r_block = gen.standard_normal((count, max_len))
-        v_block = gen.standard_normal((count, max_len + m - 1))
-        e_block = gen.standard_normal((count, max_len))
-        sum_sq = 0.0
-        sum_sq2 = 0.0
-        used = 0
-        failures = 0
+        v_block = gen.standard_normal((count, max_len + ma.size - 1))
+        e_block = np.sqrt(sigma2) * gen.standard_normal((count, max_len))
+        ma_noise = build_regressor(v_block, ma.size)[:, ma.size - 1 :] @ ma
+        sum_sq, sum_sq2, failures = 0.0, 0.0, 0
         for n in np.unique(lengths):
             idx = np.flatnonzero(lengths == n)
-            n = int(n)
-            R = build_regressor(r_block[idx, :n], n_h)
-            gram = np.einsum("bij,bik->bjk", R, R)
-            good, gram_inv = _screened_inverse(gram)
-            failures += int(np.sum(~good))
-            if not good.any():
-                continue
-            R = R[good]
-            A = np.einsum("bij,bjk->bik", R, gram_inv)
-            y = np.einsum("bij,j->bi", R, h)
-            if ma_coeffs is not None:
-                V = build_regressor(v_block[idx[good], : n + m - 1], m)[:, m - 1 :]
-                y = y + np.einsum("bij,j->bi", V, ma_coeffs)
-            if sigma > 0:
-                y = y + sigma * e_block[idx[good], :n]
+            good, R, _, A = _screened_maps(r_block[idx, :n], h.size)
+            rows = idx[good]  # may be empty, which adds nothing below
+            failures += idx.size - rows.size
+            y = np.einsum("bij,j->bi", R, h) + ma_noise[rows, :n] + e_block[rows, :n]
             err = np.einsum("bij,bi->bj", A, y) - h
             sq = np.einsum("bj,bj->b", err, err)
             sum_sq += float(sq.sum())
             sum_sq2 += float((sq * sq).sum())
-            used += int(good.sum())
-        return sum_sq, sum_sq2, used, failures
+        return sum_sq, sum_sq2, count - failures, failures
 
     parts = _run_chunks(worker, replicates, threads, CHUNK)
     failures = sum(p[3] for p in parts)
@@ -536,9 +521,7 @@ def _reproduce_random(
         derive(seed, "random-attack-clean"), replicates, threads,
     )
     sim_ratio = masked_mean / clean_mean
-    sim_se = sim_ratio * np.sqrt(
-        (masked_se / masked_mean) ** 2 + (clean_se / clean_mean) ** 2
-    )
+    sim_se = sim_ratio * np.sqrt((masked_se / masked_mean) ** 2 + (clean_se / clean_mean) ** 2)
     rows.append(
         MetricRow(
             name="random.simulated_ratio",

@@ -30,6 +30,7 @@ from firpriv.estimators import (
     RESIDUAL_TOL,
     _condition_numbers,
     _screened_inverse,
+    _screened_maps,
     _spd_solve,
 )
 from helpers import dense_error_matrix, kron_quadratic, random_regressor
@@ -586,6 +587,30 @@ class TestScreenedInverse:
             np.linalg.inv(grams)
         exact = self.assert_decides_as_exact_test(grams)
         assert not exact[7] and exact.sum() == 49
+
+    def test_screened_maps_keep_the_accepted_records(self):
+        # Records 2 and 5 are a spike in 1e-9 noise (condition about 1e17), which
+        # the screen rejects; a zero record 6 makes inverting the second stack
+        # fail, so it takes the exact test.  The third stack is all accepted.
+        rng = np.random.default_rng(3)
+        records = rng.standard_normal((8, 16))
+        records[[2, 5]] = 1e-9 * rng.standard_normal((2, 16))
+        records[[2, 5], -1] = 1.0
+        singular = records.copy()
+        singular[6] = 0.0
+        for stack, rejected in ((records, [2, 5]), (singular, [2, 5, 6]), (records[:2], [])):
+            good, R, gram_inv, A = _screened_maps(stack, 9)
+            reg = build_regressor(stack, 9)
+            decided, inverses = _screened_inverse(np.einsum("bij,bik->bjk", reg, reg))
+            np.testing.assert_array_equal(good, decided)
+            np.testing.assert_array_equal(np.flatnonzero(~good), rejected)
+            np.testing.assert_array_equal(gram_inv, inverses)
+            np.testing.assert_array_equal(R, reg[good])
+            assert len(A) == good.sum()
+            for k, a in zip(np.flatnonzero(good), A):
+                r_k = build_regressor(stack[k], 9)
+                expected = r_k @ np.linalg.inv(r_k.T @ r_k)
+                np.testing.assert_allclose(a, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
 
 class TestStableSplineKernel:

@@ -36,11 +36,13 @@ from firpriv import (
 )
 from firpriv import cli, experiments
 from firpriv.cli import main
+from firpriv.design import RandomInputModel
 from firpriv.experiments import (
     ATTACK_UNIT,
     CHUNK,
     _design_fixed,
     _fixed_input_attack,
+    _random_input_attack,
     _resolve_fixed_input,
     _resolve_kernel,
     _resolve_plant,
@@ -346,6 +348,43 @@ class TestFixedInputAttack:
         monkeypatch.setattr(experiments, "FOLD_MACS", 2**62)  # one block per chunk
         whole = _fixed_input_attack(*args, threads=2)
         assert folded == pytest.approx(whole, rel=1e-12)
+
+
+class TestRandomInputAttack:
+    @pytest.mark.parametrize("sigma2", [0.1, 0.0])
+    @pytest.mark.parametrize("filtered", [True, False], ids=["ma", "no-ma"])
+    def test_matches_per_record_solves_on_the_same_draws(self, filtered, sigma2):
+        # Chunk 0 redrawn in the attack's order (lengths, r, v, e).  Each record
+        # is solved on its own normal equations and its MA noise convolved on
+        # its own, so neither the stacked maps nor the shared noise prefix is
+        # reused.  Lengths 16-20 at n_h = 9 keep every record far from the screen.
+        h = reference_plant().coeffs
+        model = RandomInputModel.uniform_gaussian(16, 20, 1, 1)
+        ma = np.array([0.1450, 0.0799, 0.2125, 0.0799, 0.1450]) if filtered else None
+        m = ma.size if filtered else 1
+        replicates, max_len = 3000, 20
+        mean, se, failures = _random_input_attack(h, model, ma, sigma2, 31, replicates, 1)
+
+        gen = stream(31, "attack", 0)
+        lengths = gen.choice(model.lengths, size=replicates, p=model.probabilities)
+        r_block = gen.standard_normal((replicates, max_len))
+        v_block = gen.standard_normal((replicates, max_len + m - 1))
+        e_block = gen.standard_normal((replicates, max_len))
+        sq = np.empty(replicates)
+        for k, n in enumerate(lengths):
+            reg = build_regressor(r_block[k, :n], h.size)
+            y = reg @ h + np.sqrt(sigma2) * e_block[k, :n]
+            if filtered:
+                y += np.convolve(v_block[k, : n + m - 1], ma, mode="valid")
+            err = np.linalg.solve(reg.T @ reg, reg.T @ y) - h
+            sq[k] = err @ err
+        assert failures == 0
+        if not filtered and sigma2 == 0.0:
+            # No noise at all: both errors are rounding, far below any signal.
+            assert mean < 1e-25 and sq.mean() < 1e-25
+            return
+        assert mean == pytest.approx(sq.mean(), rel=1e-12)
+        assert se == pytest.approx(sq.std() / np.sqrt(replicates), rel=1e-12)
 
 
 DESIGN_CONFIGS = {

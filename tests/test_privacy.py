@@ -178,11 +178,15 @@ class TestGaussianTail:
                 hi = mid
         assert gaussian_tail_inverse(delta) == pytest.approx(0.5 * (lo + hi), rel=1e-14)
 
-    def test_inverse_within_4_ulp_of_ndtri(self):
+    def test_inverse_within_4_ulp_of_ndtri_on_listed_deltas(self):
         from scipy.special import ndtri  # the oracle; the package never imports scipy.special
 
+        # Each branch of the AS241 quantile is hit: the central one (|delta - 1/2| <= 0.425),
+        # the tail with sqrt(-log delta) <= 5 on either side, and the far tail down to the
+        # smallest subnormal; the last two sit next to the median, where x is tiny.  The
+        # bound holds on these deltas only: 127 of 55,005 sampled deltas exceed it (at most 7).
         deltas = [5e-324, 1e-310, 1e-300, 1e-100, 1e-20, 1e-6, 0.1, 0.5, 0.9, 1 - 1e-6,
-                  0.15, 0.5 - 2.0**-54, 0.5000337569122224]  # log/erf switch, near the median
+                  0.15, 0.5 - 2.0**-54, 0.5000337569122224]
         for delta in deltas:
             oracle = -float(ndtri(delta))
             assert abs(gaussian_tail_inverse(delta) - oracle) <= 4 * np.spacing(abs(oracle))
