@@ -51,8 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p = sub.add_parser("reproduce", help="rerun the bundled reference scenarios")
     _add_common(p, with_config=False)
-    p.add_argument("--which", default="all",
-                   choices=["deterministic", "rls", "random", "all"])
+    p.add_argument("--which", default="all", choices=[*experiments.REFERENCE_CONFIGS, "all"])
     p.add_argument("--replicates", type=int, default=100_000)
     p.add_argument("--realizations", type=int, default=50)
     return parser

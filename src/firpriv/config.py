@@ -17,13 +17,10 @@ from .errors import ConfigError
 
 PLANT_TYPES = ("fir", "rational")
 INPUT_TYPES = ("white", "filtered", "file", "random_model")
+#: Design types that calibrate a privacy mechanism instead of designing a noise filter.
+MECHANISM_TYPES = ("dp_laplace", "dp_gaussian")
 DESIGN_TYPES = (
-    "output_capped",
-    "output_weighted",
-    "input_capped",
-    "output_random",
-    "dp_laplace",
-    "dp_gaussian",
+    "output_capped", "output_weighted", "input_capped", "output_random", *MECHANISM_TYPES
 )
 ADVERSARIES = ("ls", "rls")
 
@@ -134,7 +131,7 @@ def _validate(pairs: dict) -> None:
     design = pairs["design_type"]
     if design not in DESIGN_TYPES:
         raise ConfigError(f"design_type must be one of {DESIGN_TYPES}, got {design!r}")
-    if design in ("dp_laplace", "dp_gaussian"):
+    if design in MECHANISM_TYPES:
         for key in ("dp_epsilon", "dp_lower", "dp_upper"):
             _require(pairs, key, f"design_type = {design}")
         if design == "dp_gaussian":

@@ -35,7 +35,7 @@ from .estimators import (
     _toeplitz,
     analyze_records,
 )
-from .lti import FirModel, _check_finite, _samples, build_regressor, convolution_matrix
+from .lti import FirModel, _check_count, _check_finite, _samples, build_regressor, convolution_matrix
 from .rng import _run_chunks, stream
 
 logger = logging.getLogger(__name__)
@@ -316,10 +316,8 @@ def estimate_expected_quadratic(
     has its own stream, redraws and sums, reduced in draw order, so spreading
     units of ``QUAD_UNIT_RECORDS`` records over ``threads`` changes no bit.
     """
-    if n_l < 1:
-        raise ParameterError(f"n_l must be >= 1, got {n_l}")
-    if threads is not None and threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
+    _check_count("n_l", n_l)
+    _check_count("threads", threads)
     _check_finite("sigma2", sigma2, 0.0)
     if np.any(model.lengths < n_h):
         raise ParameterError(

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConditioningError, DimensionError, ParameterError, SingularKernelError
 from .lti import (
-    _LAPACK, BandedFilterMatrix, FirModel, _check_finite, _samples, _windows, build_regressor,
+    _LAPACK, BandedFilterMatrix, FirModel, _check_count, _check_finite, _samples, _windows,
+    build_regressor,
 )
 
 # SciPy's LAPACK wrappers, which lti loads without importing scipy.linalg.
@@ -165,9 +166,13 @@ def _screened_maps(records: np.ndarray, n_h: int):
 
 
 def _toeplitz(c: np.ndarray) -> np.ndarray:
-    """Symmetric Toeplitz matrices with first column ``c``, over its last axis."""
+    """Symmetric Toeplitz matrices with first column ``c``, over its last axis.
+
+    C-ordered, so each matrix of a stack is one contiguous block, as a lone
+    matrix is: a product with it then rounds the same in a stack as alone.
+    """
     idx = np.arange(c.shape[-1])
-    return c[..., np.abs(idx[:, np.newaxis] - idx)]
+    return np.ascontiguousarray(c[..., np.abs(idx[:, np.newaxis] - idx)])
 
 
 def _check_condition(mats: np.ndarray, what: str) -> None:
@@ -408,8 +413,7 @@ def analyze_records(
     whole stack at once; any record that fails it, or the residual check of
     its solve, fails the whole call.
     """
-    if n_l < 1:
-        raise ParameterError(f"n_l must be >= 1, got {n_l}")
+    _check_count("n_l", n_l)
     _check_finite("sigma2", sigma2, 0.0)
     Rs, _ = _regressor_stack(R)
     if kernel is None:
@@ -455,7 +459,6 @@ def stable_spline_kernel(n_h: int, beta: float) -> np.ndarray:
     """Stable spline kernel: entry (i, j) is beta**max(i, j) with 1-based indices."""
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
-    if n_h < 1:
-        raise ParameterError(f"n_h must be >= 1, got {n_h}")
+    _check_count("n_h", n_h)
     idx = np.arange(1, n_h + 1)
     return beta ** np.maximum.outer(idx, idx)

@@ -7,8 +7,12 @@ against the analytic prediction and a variance-matched baseline.
 
 ``reproduce`` reruns the bundled reference scenarios (deterministic input,
 regularized adversary, random inputs) and emits a comparison table.  The
-deterministic scenarios depend on the particular input realization, so they
-are reported as a band over many realizations rather than as point values.
+scenarios are the configs in ``REFERENCE_CONFIGS``, run through the same
+stages as ``attack_simulation``: ``_analyze_fixed`` (the trace quadratic of
+fixed records) then ``_design_fixed`` (the filter design or mechanism and the
+baseline), or ``_design_random`` for random inputs.  The fixed-input
+scenarios depend on the particular input realization, so they are reported
+as a band over many realizations rather than as point values.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import MECHANISM_TYPES, ExperimentConfig, parse_config_text
 from .design import (
     DesignResult,
     RandomInputModel,
@@ -35,6 +39,7 @@ from .errors import ConfigError, ParameterError, RedrawBudgetError
 from .estimators import (
     FAILURE_BUDGET,
     Kernel,
+    RecordQuadratic,
     _screened_maps,
     analyze_records,
     ls_trace_quadratic,
@@ -44,6 +49,7 @@ from .estimators import (
 from .lti import (
     FirModel,
     RationalFilter,
+    _check_count,
     build_filter_matrix,
     build_regressor,
     factor_adjoint,
@@ -77,21 +83,29 @@ ATTACK_UNIT = 1024
 #: one row where a row is longer.
 FOLD_MACS = 2**18
 
-# Reference scenario parameters (shared by `reproduce` and the acceptance suite).
-REFERENCE_PLANT_NUM = (1.0, -0.2)
-REFERENCE_PLANT_DEN = (1.0, -0.9, 0.17)
-REFERENCE_FIR_ORDER = 9
-REFERENCE_INPUT_DEN = (1.0, -0.95)
-REFERENCE_DETERMINISTIC = {"n_samples": 200, "sigma2": 1.0, "gamma1": 2.0, "n_l": 10}
-REFERENCE_RLS = {"eta": 0.1, "beta": 0.7}
-REFERENCE_RANDOM = {
-    "min_length": 10,
-    "max_length": 20,
-    "theta": 100,
-    "vartheta": 1000,
-    "n_l": 5,
-    "sigma2": 0.1,
-    "gamma1": 0.2,
+
+def _reference_config(**pairs) -> ExperimentConfig:
+    """The config a file of these ``key = value`` lines parses to, validation included."""
+    return parse_config_text("".join(f"{key} = {value}\n" for key, value in pairs.items()))
+
+
+_REFERENCE_PLANT = dict(
+    plant_type="rational", plant_num="1, -0.2", plant_den="1, -0.9, 0.17", plant_fir_order=9
+)
+_REFERENCE_FIXED = dict(
+    _REFERENCE_PLANT, input_type="filtered", input_length=200, input_filter_num="1",
+    input_filter_den="1, -0.95", design_type="output_capped", sigma2=1.0, gamma1=2.0,
+    noise_order=10,
+)
+#: The reference scenarios of ``reproduce`` (and of the acceptance suite), by name.
+REFERENCE_CONFIGS = {
+    "deterministic": _reference_config(**_REFERENCE_FIXED),
+    "rls": _reference_config(**_REFERENCE_FIXED, adversary="rls", rls_eta=0.1, rls_beta=0.7),
+    "random": _reference_config(
+        **_REFERENCE_PLANT, input_type="random_model", random_min_length=10,
+        random_max_length=20, random_theta=100, random_vartheta=1000,
+        design_type="output_random", noise_order=5, sigma2=0.1, gamma1=0.2,
+    ),
 }
 REFERENCE_RANDOM_FILTER = (0.1450, 0.0799, 0.2125, 0.0799, 0.1450)
 REFERENCE_RANDOM_RATIO = 1.9639
@@ -134,8 +148,7 @@ def _fmt(value: float) -> str:
 
 def reference_plant() -> FirModel:
     """FIR truncation of the reference rational plant used by the bundled scenarios."""
-    g = RationalFilter(np.array(REFERENCE_PLANT_NUM), np.array(REFERENCE_PLANT_DEN))
-    return FirModel(impulse_response(g, REFERENCE_FIR_ORDER))
+    return _resolve_plant(REFERENCE_CONFIGS["deterministic"])
 
 
 def _resolve_plant(config: ExperimentConfig) -> FirModel:
@@ -145,7 +158,8 @@ def _resolve_plant(config: ExperimentConfig) -> FirModel:
     return FirModel(impulse_response(g, config.plant_fir_order))
 
 
-def _resolve_fixed_input(config: ExperimentConfig, seed: int) -> np.ndarray:
+def _resolve_fixed_input(config: ExperimentConfig, seed) -> np.ndarray:
+    """The config's input record; a filtered input takes a list of seeds for a stack of records."""
     if config.input_type == "white":
         return stream(seed, "input-white").standard_normal(config.input_length)
     if config.input_type == "filtered":
@@ -167,11 +181,6 @@ def _resolve_kernel(config: ExperimentConfig, n_h: int) -> Optional[Kernel]:
     if config.adversary != "rls":
         return None
     return Kernel(stable_spline_kernel(n_h, config.rls_beta), eta=config.rls_eta)
-
-
-def _check_count(name: str, value: Optional[int]) -> None:
-    if value is not None and value < 1:
-        raise ParameterError(f"{name} must be >= 1, got {value}")
 
 
 def _mean_and_se(parts):
@@ -291,40 +300,31 @@ def _random_input_attack(
     return (*_mean_and_se(parts), failures)
 
 
-def _design_fixed(config: ExperimentConfig, h: FirModel, r: np.ndarray, reg: np.ndarray):
-    """Design/calibrate for a fixed input; returns analytic quantities and noise.
+def _analyze_fixed(config: ExperimentConfig, h: FirModel, reg: np.ndarray):
+    """Trace quadratic of the record with regressor ``reg``, or a list for a stack of them.
 
-    The record ``r``, with regressor ``reg``, is analyzed once: its trace
-    quadratic also carries the attack's estimator map, the bias and the noise
-    gain.  The input design needs the quadratic in the output-domain filter
-    ``conv(h, l)``, which has ``len(h) - 1`` more coefficients than ``l``.
+    It also carries the attack's estimator map, the bias and the noise gain.
+    A mechanism needs no filter coefficient; the input design needs the
+    quadratic in the output-domain filter ``conv(h, l)``, which has
+    ``len(h) - 1`` more coefficients than ``l``.
     """
     kernel = _resolve_kernel(config, len(h))
-    mechanism = config.design_type in ("dp_laplace", "dp_gaussian")
-    n_l = 1 if mechanism else config.noise_order
+    n_l = 1 if config.design_type in MECHANISM_TYPES else config.noise_order
     if config.design_type == "input_capped":
         n_l += len(h) - 1
+    if reg.ndim == 3:
+        return analyze_records(reg, config.sigma2, n_l, kernel, h)
     if kernel is not None:
-        quad = rls_trace_quadratic(reg, h, kernel, config.sigma2, n_l)
-    else:
-        quad = ls_trace_quadratic(reg, config.sigma2, n_l)
+        return rls_trace_quadratic(reg, h, kernel, config.sigma2, n_l)
+    return ls_trace_quadratic(reg, config.sigma2, n_l)
 
-    design = None
-    mech = None
-    ma_coeffs = None
-    if not mechanism:
-        if config.design_type == "input_capped":
-            design = _design_input(quad, h.coeffs, config.sigma2, config.gamma1, config.noise_order)
-            ma_coeffs = np.convolve(h.coeffs, design.l_star)
-        else:
-            if config.design_type == "output_capped":
-                design = design_output_capped(quad, config.sigma2, config.gamma1)
-            else:
-                design = design_output_weighted(quad, config.gamma2, sigma2=config.sigma2)
-            ma_coeffs = design.l_star
-        predicted = design.predicted_trace
-        baseline = quad.bias + design.lambda_y * quad.noise_gain
-    else:
+
+def _design_fixed(config: ExperimentConfig, h: FirModel, r: np.ndarray, quad: RecordQuadratic):
+    """Design the noise filter, or calibrate the mechanism, for record ``r`` and its quadratic.
+
+    Returns ``(design, mechanism, ma_coeffs, predicted, baseline)``.
+    """
+    if config.design_type in MECHANISM_TYPES:
         box = CoefficientBox(config.dp_lower, config.dp_upper, len(h))
         if config.design_type == "dp_laplace":
             mech = laplace_mechanism(config.dp_epsilon, l1_sensitivity(r, box), config.sigma2)
@@ -334,7 +334,29 @@ def _design_fixed(config: ExperimentConfig, h: FirModel, r: np.ndarray, reg: np.
             )
         predicted = quad.bias + (mech.noise_variance + config.sigma2) * quad.noise_gain
         baseline = quad.bias + config.sigma2 * quad.noise_gain  # no-privacy baseline
-    return design, mech, ma_coeffs, quad.estimator_map, predicted, baseline
+        return None, mech, None, predicted, baseline
+    if config.design_type == "input_capped":
+        design = _design_input(quad, h.coeffs, config.sigma2, config.gamma1, config.noise_order)
+    elif config.design_type == "output_capped":
+        design = design_output_capped(quad, config.sigma2, config.gamma1)
+    else:
+        design = design_output_weighted(quad, config.gamma2, sigma2=config.sigma2)
+    # An input filter reaches the output through the plant.
+    input_design = config.design_type == "input_capped"
+    ma_coeffs = np.convolve(h.coeffs, design.l_star) if input_design else design.l_star
+    baseline = quad.bias + design.lambda_y * quad.noise_gain
+    return design, None, ma_coeffs, design.predicted_trace, baseline
+
+
+def _design_random(config: ExperimentConfig, n_h: int, seed: int, threads: Optional[int]):
+    """The random-input model, its design from a Monte Carlo quadratic, and the baseline."""
+    model = RandomInputModel.uniform_gaussian(
+        config.random_min_length, config.random_max_length, config.random_theta,
+        config.random_vartheta,
+    )
+    quad = estimate_expected_quadratic(model, n_h, config.noise_order, config.sigma2, seed, threads)
+    design = design_output_random(quad, config.sigma2, config.gamma1)
+    return model, design, design.lambda_y * quad.offset / config.sigma2
 
 
 def attack_simulation(
@@ -352,18 +374,8 @@ def attack_simulation(
     h = _resolve_plant(config)
 
     if config.input_type == "random_model":
-        model = RandomInputModel.uniform_gaussian(
-            config.random_min_length,
-            config.random_max_length,
-            config.random_theta,
-            config.random_vartheta,
-        )
-        quad = estimate_expected_quadratic(
-            model, len(h), config.noise_order, config.sigma2, derive(seed, "design"), threads
-        )
-        design = design_output_random(quad, config.sigma2, config.gamma1)
+        model, design, baseline = _design_random(config, len(h), derive(seed, "design"), threads)
         predicted = design.predicted_trace
-        baseline = design.lambda_y * quad.offset / config.sigma2
         empirical, se, failures = _random_input_attack(
             h.coeffs, model, design.l_star, config.sigma2,
             derive(seed, "attack-designed"), config.replicates, threads,
@@ -372,11 +384,10 @@ def attack_simulation(
     else:
         r = _resolve_fixed_input(config, derive(seed, "input"))
         reg = build_regressor(r, len(h))
-        design, mech, ma_coeffs, estimator_map, predicted, baseline = _design_fixed(
-            config, h, r, reg
-        )
+        quad = _analyze_fixed(config, h, reg)
+        design, mech, ma_coeffs, predicted, baseline = _design_fixed(config, h, r, quad)
         empirical, se, failures = _fixed_input_attack(
-            h.coeffs, reg @ h.coeffs, estimator_map, ma_coeffs, mech, config.sigma2,
+            h.coeffs, reg @ h.coeffs, quad.estimator_map, ma_coeffs, mech, config.sigma2,
             derive(seed, "attack"), config.replicates, threads,
         )
 
@@ -414,78 +425,51 @@ def _band_rows(label: str, values: np.ndarray, expected: float) -> List[MetricRo
     ]
 
 
-def _deterministic_traces(seed: int, realizations: int, rls: bool):
-    """Analytic (designed, baseline) error traces across input realizations."""
-    h = reference_plant()
-    params = REFERENCE_DETERMINISTIC
-    w = RationalFilter(np.array([1.0]), np.array(REFERENCE_INPUT_DEN))
-    kernel = (
-        Kernel(stable_spline_kernel(len(h), REFERENCE_RLS["beta"]), eta=REFERENCE_RLS["eta"])
-        if rls
-        else None
-    )
+def _reproduce_fixed(name: str, seed: int, realizations: int) -> List[MetricRow]:
+    """Designed and baseline traces of a fixed-input reference config, over input realizations."""
+    config = REFERENCE_CONFIGS[name]
+    h = _resolve_plant(config)
     seeds = [derive(seed, "det-input", k) for k in range(realizations)]
-    records = generate_filtered_input(w, params["n_samples"], seed=seeds)
-    quads = analyze_records(
-        build_regressor(records, len(h)), params["sigma2"], params["n_l"], kernel, h
-    )
-    designed = np.empty(realizations)
-    baseline = np.empty(realizations)
-    for k, quad in enumerate(quads):
-        result = design_output_capped(quad, params["sigma2"], params["gamma1"])
-        designed[k] = result.predicted_trace
-        baseline[k] = quad.bias + result.lambda_y * quad.noise_gain
-    return designed, baseline
-
-
-def _reproduce_deterministic(seed: int, realizations: int) -> List[MetricRow]:
-    designed, baseline = _deterministic_traces(seed, realizations, rls=False)
-    ref = REFERENCE_VALUES["deterministic"]
-    rows = _band_rows("deterministic.designed_trace", designed, ref["designed"])
-    rows += _band_rows("deterministic.baseline_trace", baseline, ref["baseline"])
-    median_increase = float(np.median(designed / baseline) - 1.0)
-    rows.append(
-        MetricRow(
-            name="deterministic.median_increase",
-            expected=f">= {ref['min_median_increase']}",
-            computed=_fmt(median_increase),
-            tolerance="median over realizations",
-            passed=median_increase >= ref["min_median_increase"],
+    records = _resolve_fixed_input(config, seeds)
+    quads = _analyze_fixed(config, h, build_regressor(records, len(h)))
+    designed, baseline = np.array(
+        [_design_fixed(config, h, r, quad)[3:] for r, quad in zip(records, quads)]
+    ).T
+    ref = REFERENCE_VALUES[name]
+    metric = "mse" if config.adversary == "rls" else "trace"
+    rows = _band_rows(f"{name}.designed_{metric}", designed, ref["designed"])
+    rows += _band_rows(f"{name}.baseline_{metric}", baseline, ref["baseline"])
+    if "min_median_increase" in ref:
+        median_increase = float(np.median(designed / baseline) - 1.0)
+        rows.append(
+            MetricRow(
+                name=f"{name}.median_increase",
+                expected=f">= {ref['min_median_increase']}",
+                computed=_fmt(median_increase),
+                tolerance="median over realizations",
+                passed=median_increase >= ref["min_median_increase"],
+            )
         )
-    )
-    return rows
-
-
-def _reproduce_rls(seed: int, realizations: int) -> List[MetricRow]:
-    designed, baseline = _deterministic_traces(seed, realizations, rls=True)
-    ref = REFERENCE_VALUES["rls"]
-    rows = _band_rows("rls.designed_mse", designed, ref["designed"])
-    rows += _band_rows("rls.baseline_mse", baseline, ref["baseline"])
-    med_d, med_b = float(np.median(designed)), float(np.median(baseline))
-    rows.append(
-        MetricRow(
-            name="rls.median_designed_exceeds_baseline",
-            expected="strictly greater",
-            computed=f"{_fmt(med_d)} vs {_fmt(med_b)}",
-            tolerance="median over realizations",
-            passed=med_d > med_b,
+    else:
+        med_d, med_b = float(np.median(designed)), float(np.median(baseline))
+        rows.append(
+            MetricRow(
+                name=f"{name}.median_designed_exceeds_baseline",
+                expected="strictly greater",
+                computed=f"{_fmt(med_d)} vs {_fmt(med_b)}",
+                tolerance="median over realizations",
+                passed=med_d > med_b,
+            )
         )
-    )
     return rows
 
 
 def _reproduce_random(
     seed: int, replicates: int, threads: Optional[int]
 ) -> List[MetricRow]:
-    params = REFERENCE_RANDOM
-    h = reference_plant()
-    model = RandomInputModel.uniform_gaussian(
-        params["min_length"], params["max_length"], params["theta"], params["vartheta"]
-    )
-    quad = estimate_expected_quadratic(
-        model, len(h), params["n_l"], params["sigma2"], derive(seed, "random-design"), threads
-    )
-    result = design_output_random(quad, params["sigma2"], params["gamma1"])
+    config = REFERENCE_CONFIGS["random"]
+    h = _resolve_plant(config)
+    model, result, _ = _design_random(config, len(h), derive(seed, "random-design"), threads)
 
     expected_filter = np.asarray(REFERENCE_RANDOM_FILTER)
     flip = np.max(np.abs(-result.l_star - expected_filter)) < np.max(
@@ -513,11 +497,11 @@ def _reproduce_random(
     )
 
     masked_mean, masked_se, _ = _random_input_attack(
-        h.coeffs, model, result.l_star, params["sigma2"],
+        h.coeffs, model, result.l_star, config.sigma2,
         derive(seed, "random-attack-masked"), replicates, threads,
     )
     clean_mean, clean_se, _ = _random_input_attack(
-        h.coeffs, model, None, params["sigma2"],
+        h.coeffs, model, None, config.sigma2,
         derive(seed, "random-attack-clean"), replicates, threads,
     )
     sim_ratio = masked_mean / clean_mean
@@ -583,23 +567,19 @@ def reproduce(
     _check_count("replicates", replicates)
     _check_count("realizations", realizations)
     _check_count("threads", threads)
-    scenarios = {
-        "deterministic": lambda: _reproduce_deterministic(seed, realizations),
-        "rls": lambda: _reproduce_rls(seed, realizations),
-        "random": lambda: _reproduce_random(seed, replicates, threads),
-    }
-    if which == "all":
-        selected = list(scenarios)
-    elif which in scenarios:
-        selected = [which]
-    else:
-        raise ParameterError(f"which must be one of {tuple(scenarios) + ('all',)}, got {which!r}")
+    if which != "all" and which not in REFERENCE_CONFIGS:
+        choices = tuple(REFERENCE_CONFIGS) + ("all",)
+        raise ParameterError(f"which must be one of {choices}, got {which!r}")
+    selected = list(REFERENCE_CONFIGS) if which == "all" else [which]
     if out_dir is not None:  # an unusable directory fails before the work, not after it
         _report_path(out_dir, selected[0])
 
     all_rows: List[MetricRow] = []
     for name in selected:
-        rows = scenarios[name]()
+        if REFERENCE_CONFIGS[name].input_type == "random_model":
+            rows = _reproduce_random(seed, replicates, threads)
+        else:
+            rows = _reproduce_fixed(name, seed, realizations)
         all_rows.extend(rows)
         if out_dir is not None:
             _write_csv(out_dir, name, rows_to_csv(rows))

@@ -84,6 +84,12 @@ def _check_finite(name: str, value: float, lower: float = -math.inf, strict: boo
         raise ParameterError(f"{name} must be finite{bound}, got {value}")
 
 
+def _check_count(name: str, value) -> None:
+    """``ParameterError`` unless ``value`` is None (an unset option) or at least 1."""
+    if value is not None and value < 1:
+        raise ParameterError(f"{name} must be >= 1, got {value}")
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, order="C")
     out.setflags(write=False)
@@ -220,8 +226,7 @@ def impulse_response(g: RationalFilter, n: int) -> np.ndarray:
     The impulse arrives at the first sample, so the result is the coefficient
     sequence of the power-series expansion of ``g`` in the delay operator.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    _check_count("n", n)
     pulse = np.zeros(n)
     pulse[0] = 1.0
     return _lfilter(g.numerator, g.denominator, pulse)
@@ -236,8 +241,7 @@ def fir_truncate(g: RationalFilter, order: int):
     ``2*order + 256`` until the second half of those samples adds at most
     ``TAIL_REL_TOL`` of their whole l1 norm, or until n reaches 10**6.
     """
-    if order < 1:
-        raise ParameterError(f"order must be >= 1, got {order}")
+    _check_count("order", order)
     # Stability guarantees geometric decay, so the doubling terminates; the
     # cap only guards against near-unit poles.
     n = 2 * order + 256
@@ -278,8 +282,7 @@ def build_regressor(r, n_h: int) -> np.ndarray:
     else:
         samples = _samples(r)
     n = samples.shape[-1]
-    if n_h < 1:
-        raise ParameterError(f"n_h must be >= 1, got {n_h}")
+    _check_count("n_h", n_h)
     if n < n_h:
         raise DimensionError(f"need at least n_h={n_h} samples, got N={n}")
     return _windows(samples, n_h)
@@ -291,8 +294,7 @@ def build_filter_matrix(l, n_samples: int) -> BandedFilterMatrix:
     Validation only, O(m): the dense form is built on first ``.matrix`` access.
     """
     coeffs = _samples(l)
-    if n_samples < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
+    _check_count("n_samples", n_samples)
     return BandedFilterMatrix(coeffs=coeffs, n_samples=int(n_samples))
 
 
@@ -303,8 +305,7 @@ def convolution_matrix(h, n_cols: int) -> np.ndarray:
     coefficient vector yields the coefficients of the polynomial product.
     """
     coeffs = _samples(h)
-    if n_cols < 1:
-        raise ParameterError(f"n_cols must be >= 1, got {n_cols}")
+    _check_count("n_cols", n_cols)
     return _windows(coeffs, n_cols, trailing=n_cols - 1).copy()
 
 
@@ -367,8 +368,7 @@ def generate_filtered_input(w_filter: RationalFilter, n_samples: int, seed=0) ->
 
     A sequence of seeds gives a stack of records, one per seed, filtered in one pass.
     """
-    if n_samples < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
+    _check_count("n_samples", n_samples)
     seeds = seed if np.ndim(seed) else [seed]
     white = [stream(s, "input-white").standard_normal(n_samples) for s in seeds]
     white = np.reshape(white, np.shape(seed) + (n_samples,))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditSizeError, ParameterError
-from .lti import _check_finite, _load_scipy_extension, _samples, build_regressor
+from .lti import _check_count, _check_finite, _load_scipy_extension, _samples, build_regressor
 from .rng import stream
 
 #: Output grid size of the exhaustive density audit.
@@ -33,8 +33,7 @@ class CoefficientBox:
         _check_finite("box upper bound", self.upper)
         if not self.lower <= self.upper:
             raise ParameterError(f"box lower {self.lower} exceeds upper {self.upper}")
-        if self.n_h < 1:
-            raise ParameterError(f"n_h must be >= 1, got {self.n_h}")
+        _check_count("n_h", self.n_h)
 
     @property
     def width(self) -> float:
@@ -192,8 +191,7 @@ def _draw_mechanism(gen: np.random.Generator, mech: DpMechanism, shape) -> np.nd
 
 def sample_mechanism(mech: DpMechanism, n: int, seed: int = 0) -> np.ndarray:
     """Draw n i.i.d. noise samples from a calibrated mechanism (seed-deterministic)."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    _check_count("n", n)
     return _draw_mechanism(stream(seed, "dp-noise"), mech, n)
 
 

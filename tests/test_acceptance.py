@@ -56,7 +56,7 @@ from firpriv import (
     stable_spline_kernel,
 )
 from firpriv.experiments import (
-    REFERENCE_RANDOM,
+    REFERENCE_CONFIGS,
     REFERENCE_RANDOM_FILTER,
     REFERENCE_RANDOM_RATIO,
     _random_input_attack,
@@ -224,16 +224,17 @@ def test_criterion_3_weighted_design_optimality():
 
 def test_criterion_4_random_input_reference_experiment():
     start = time.perf_counter()
-    params = REFERENCE_RANDOM
+    config = REFERENCE_CONFIGS["random"]
     h = reference_plant()
     seed = 0
     model = RandomInputModel.uniform_gaussian(
-        params["min_length"], params["max_length"], params["theta"], params["vartheta"]
+        config.random_min_length, config.random_max_length, config.random_theta,
+        config.random_vartheta,
     )
     quad = estimate_expected_quadratic(
-        model, len(h), params["n_l"], params["sigma2"], seed=seed
+        model, len(h), config.noise_order, config.sigma2, seed=seed
     )
-    result = design_output_random(quad, params["sigma2"], params["gamma1"])
+    result = design_output_random(quad, config.sigma2, config.gamma1)
 
     expected = np.asarray(REFERENCE_RANDOM_FILTER)
     dev = min(
@@ -245,10 +246,10 @@ def test_criterion_4_random_input_reference_experiment():
 
     replicates = 100_000
     masked_mean, masked_se, _ = _random_input_attack(
-        h.coeffs, model, result.l_star, params["sigma2"], 1001, replicates, None
+        h.coeffs, model, result.l_star, config.sigma2, 1001, replicates, None
     )
     clean_mean, clean_se, _ = _random_input_attack(
-        h.coeffs, model, None, params["sigma2"], 1002, replicates, None
+        h.coeffs, model, None, config.sigma2, 1002, replicates, None
     )
     sim_ratio = masked_mean / clean_mean
     sim_se = sim_ratio * math.sqrt(

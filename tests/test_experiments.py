@@ -40,6 +40,8 @@ from firpriv.design import RandomInputModel
 from firpriv.experiments import (
     ATTACK_UNIT,
     CHUNK,
+    REFERENCE_CONFIGS,
+    _analyze_fixed,
     _design_fixed,
     _fixed_input_attack,
     _random_input_attack,
@@ -407,7 +409,9 @@ def test_attack_noise_map_reproduces_the_error_matrix(design, n):
     h = _resolve_plant(config)
     r = _resolve_fixed_input(config, derive(config.seed, "input"))
     reg = build_regressor(r, len(h))
-    _, mech, ma_coeffs, emap, predicted, _ = _design_fixed(config, h, r, reg)
+    quad = _analyze_fixed(config, h, reg)
+    _, mech, ma_coeffs, predicted, _ = _design_fixed(config, h, r, quad)
+    emap = quad.estimator_map
     w = config.sigma2 + (mech.noise_variance if mech is not None else 0.0)
     band = build_filter_matrix(ma_coeffs if ma_coeffs is not None else [0.0], n)
     noise_map = factor_adjoint(band.noise_factor(w), emap)
@@ -470,6 +474,60 @@ class TestReproduce:
         assert sum(n.startswith("random.filter_coefficient") for n in names) == 5
         assert "random.predicted_ratio" in names
         assert "random.simulated_ratio" in names
+
+    # Seed-0 `computed` fields of `reproduce`, which a refactor must leave unchanged.
+    GOLDEN_ROWS = {
+        "deterministic.designed_trace.reference_in_band": "0.196897520329..0.272115632864",
+        "deterministic.designed_trace.median": "0.240152362898",
+        "deterministic.baseline_trace.reference_in_band": "0.144787755666..0.184874852109",
+        "deterministic.baseline_trace.median": "0.168284769388",
+        "deterministic.median_increase": "0.426289624313",
+        "rls.designed_mse.reference_in_band": "0.1615128714..0.207120854708",
+        "rls.designed_mse.median": "0.190948508177",
+        "rls.baseline_mse.reference_in_band": "0.124341097466..0.151232261535",
+        "rls.baseline_mse.median": "0.138826522483",
+        "rls.median_designed_exceeds_baseline": "0.190948508177 vs 0.138826522483",
+        "random.filter_coefficient_0": "0.0992749298699",
+        "random.filter_coefficient_1": "0.155738187636",
+        "random.filter_coefficient_2": "0.178270049146",
+        "random.filter_coefficient_3": "0.155738187636",
+        "random.filter_coefficient_4": "0.0992749298699",
+        "random.predicted_ratio": "2.15768285673",
+    }
+
+    def test_seed_zero_rows_match_the_recorded_values(self):
+        # The random design does not depend on the attack's replicate count.
+        rows = reproduce(which="deterministic", seed=0) + reproduce(which="rls", seed=0)
+        rows += reproduce(which="random", seed=0, replicates=5000)
+        computed = {row.name: row.computed for row in rows if row.name in self.GOLDEN_ROWS}
+        assert computed.keys() == self.GOLDEN_ROWS.keys()
+        number = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+        for name, want in self.GOLDEN_ROWS.items():
+            got_values = [float(v) for v in number.findall(computed[name])]
+            want_values = [float(v) for v in number.findall(want)]
+            assert len(got_values) == len(want_values), name
+            assert got_values == pytest.approx(want_values, rel=1e-9, abs=0), name
+
+    @pytest.mark.parametrize("name", ["deterministic", "rls"])
+    def test_stacked_realizations_match_single_record_stages(self, name, monkeypatch):
+        bands = {}
+
+        def record_band(label, values, expected):
+            bands[label.split(".")[1]] = np.array(values)
+            return band_rows(label, values, expected)
+
+        band_rows = experiments._band_rows
+        monkeypatch.setattr(experiments, "_band_rows", record_band)
+        experiments._reproduce_fixed(name, 7, realizations=3)
+        config = REFERENCE_CONFIGS[name]
+        h = _resolve_plant(config)
+        metric = "mse" if name == "rls" else "trace"
+        for k in range(3):
+            r = _resolve_fixed_input(config, derive(7, "det-input", k))
+            quad = _analyze_fixed(config, h, build_regressor(r, len(h)))
+            _, _, _, designed, baseline = _design_fixed(config, h, r, quad)
+            assert designed == bands[f"designed_{metric}"][k]
+            assert baseline == bands[f"baseline_{metric}"][k]
 
     def test_reference_plant_coefficients(self):
         h = reference_plant()
@@ -758,7 +816,7 @@ class TestCli:
         taken = tmp_path / "taken"
         taken.write_text("")
         calls = []
-        for name in ("_reproduce_deterministic", "_reproduce_rls", "_reproduce_random"):
+        for name in ("_reproduce_fixed", "_reproduce_random"):
             monkeypatch.setattr(experiments, name, lambda *args, name=name: calls.append(name))
         with pytest.raises(ParameterError, match=re.escape(str(taken))):
             reproduce(which=which, out_dir=taken)
