@@ -108,19 +108,6 @@ def _check_budget(sigma2: float, gamma1: float) -> None:
     _check_finite("gamma1", gamma1)
 
 
-def _unmasked(offset: float, sigma2: float, n_l: int, lam1: float) -> DesignResult:
-    """The capped designs' result for a numerically zero objective: no masking filter."""
-    return DesignResult(
-        l_star=np.zeros(n_l),
-        predicted_trace=offset,
-        lambda_y=sigma2,
-        rho=1.0,
-        active_constraint=False,
-        top_eigenvalue=max(lam1, 0.0),
-        degenerate_objective=True,
-    )
-
-
 def design_output_capped(quadratic, sigma2: float, gamma1: float) -> DesignResult:
     """Maximize the error trace over MA filters with total variance capped.
 
@@ -130,18 +117,17 @@ def design_output_capped(quadratic, sigma2: float, gamma1: float) -> DesignResul
     quad = _check_quadratic(quadratic)
     _check_budget(sigma2, gamma1)
     lam1, v1, degenerate = _top_eigenpair(quad.matrix)
-    if lam1 <= 0.0:
-        # Numerically zero objective: any feasible filter is as good as none.
-        return _unmasked(quad.offset, sigma2, quad.n_l, lam1)
-    l_star = math.sqrt(gamma1 - sigma2) * v1
+    unmasked = lam1 <= 0.0  # numerically zero objective: any feasible filter is as good as none
+    l_star = np.zeros(quad.n_l) if unmasked else math.sqrt(gamma1 - sigma2) * v1
     lambda_y = float(l_star @ l_star) + sigma2
     return DesignResult(
         l_star=l_star,
         predicted_trace=quad.evaluate(l_star),
         lambda_y=lambda_y,
         rho=lambda_y / sigma2,
-        active_constraint=True,
-        top_eigenvalue=lam1,
+        active_constraint=not unmasked,
+        top_eigenvalue=max(lam1, 0.0),
+        degenerate_objective=unmasked,
         degenerate_top_eigenspace=degenerate,
     )
 
@@ -193,8 +179,7 @@ def _gram_inv_sqrt(gram: np.ndarray) -> np.ndarray:
             f"plant Gram matrix is numerically singular "
             f"(min/max eigenvalue ratio {eigvals[0] / max(top, 1e-300):.3e})"
         )
-    clipped = np.maximum(eigvals, 1e-12 * top)
-    return (eigvecs / np.sqrt(clipped)) @ eigvecs.T
+    return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
 
 
 def design_input_capped(
@@ -222,28 +207,25 @@ def design_input_capped(
 def _design_input(
     quad_f: TraceQuadratic, h_vec: np.ndarray, sigma2: float, gamma1: float, n_l: int
 ) -> DesignResult:
-    """Input design from the record's quadratic in the filter ``conv(h, l)``."""
+    """Input design from the record's quadratic ``M`` in the filter ``conv(h, l)``.
+
+    It is the capped output design of the whitened quadratic ``S H'MH S``,
+    ``S = (H'H)^(-1/2)``, with its filter mapped back through ``S``.
+    """
     _check_budget(sigma2, gamma1)
     Hmat = convolution_matrix(h_vec, n_l)
     m_prime = Hmat.T @ quad_f.matrix @ Hmat
     inv_sqrt = _gram_inv_sqrt(Hmat.T @ Hmat)
-    whitened = inv_sqrt @ m_prime @ inv_sqrt
-    lam1, eta, degenerate = _top_eigenpair(whitened)
-    if lam1 <= 0.0:
-        return _unmasked(quad_f.offset, sigma2, n_l, lam1)
-    l_star = math.sqrt(gamma1 - sigma2) * (inv_sqrt @ eta)
+    whitened = TraceQuadratic(inv_sqrt @ m_prime @ inv_sqrt, quad_f.offset)
+    white = design_output_capped(whitened, sigma2, gamma1)
+    if white.degenerate_objective:
+        return white
+    l_star = inv_sqrt @ white.l_star
     f_star = np.convolve(h_vec, l_star)
     lambda_y = float(f_star @ f_star) + sigma2
-    quad = TraceQuadratic(matrix=m_prime, offset=quad_f.offset, adversary=quad_f.adversary)
-    return DesignResult(
-        l_star=l_star,
-        predicted_trace=quad.evaluate(l_star),
-        lambda_y=lambda_y,
-        rho=lambda_y / sigma2,
-        active_constraint=True,
-        top_eigenvalue=lam1,
-        degenerate_top_eigenspace=degenerate,
-    )
+    predicted = float(l_star @ m_prime @ l_star + quad_f.offset)
+    return replace(white, l_star=l_star, predicted_trace=predicted, lambda_y=lambda_y,
+                   rho=lambda_y / sigma2)
 
 
 @dataclass(frozen=True)

@@ -204,8 +204,7 @@ def _laplace_gauss_log_density(points: np.ndarray, b: float, sigma: float):
     underflow.
     """
     if sigma == 0.0:
-        dens = np.exp(-np.abs(points) / b) / (2.0 * b)
-        return np.log(np.maximum(dens, 1e-300))
+        return -np.abs(points) / b - math.log(2.0 * b)
     log_ndtr = _log_ndtr()
     a = 0.5 * (sigma / b) ** 2
     z = points / sigma

@@ -257,6 +257,36 @@ class TestDesignInputCapped:
         with pytest.raises(RankError):
             design_input_capped(r, FirModel([0.0, 0.0]), 0.2, 0.8, n_l=3)
 
+    def test_top_eigenvalue_is_the_generalized_one(self):
+        from firpriv import convolution_matrix
+
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            n_h, n_l = 4, 5
+            h = rng.standard_normal(n_h)
+            quad_f, _ = random_quadratic(rng, n_h + n_l - 1, n_h=n_h)
+            result = design._design_input(quad_f, h, 0.4, 1.1, n_l)
+            hmat = convolution_matrix(h, n_l)
+            m_prime = hmat.T @ quad_f.matrix @ hmat
+            generalized = np.linalg.eigvals(np.linalg.solve(hmat.T @ hmat, m_prime))
+            assert result.top_eigenvalue == pytest.approx(generalized.real.max(), rel=1e-9)
+            assert not result.degenerate_top_eigenspace
+
+    def test_identity_quadratic_whitens_to_a_repeated_eigenspace(self):
+        # M' = H'H, so the whitened quadratic is the identity: every direction ties.
+        h = np.array([1.0, 0.5, -0.3])
+        result = design._design_input(TraceQuadratic(np.eye(6), 0.5), h, 1.0, 2.0, 4)
+        assert result.degenerate_top_eigenspace
+        assert result.top_eigenvalue == pytest.approx(1.0, rel=1e-12)
+        assert result.predicted_trace == pytest.approx(0.5 + (2.0 - 1.0), rel=1e-12)
+
+    def test_gram_guard_boundary(self):
+        inv_sqrt = design._gram_inv_sqrt(np.diag([1.0, 2e-10]))
+        np.testing.assert_allclose(inv_sqrt @ np.diag([1.0, 2e-10]) @ inv_sqrt, np.eye(2),
+                                   rtol=0, atol=1e-12)
+        with pytest.raises(RankError):
+            design._gram_inv_sqrt(np.diag([1.0, 5e-11]))
+
     def test_rls_adversary_consistent_with_mse(self):
         rng = np.random.default_rng(11)
         n_h, n_l, n = 3, 3, 25

@@ -103,6 +103,156 @@ seed = 7
 """
 
 
+# The README configuration at seed 0, without its design keys.
+README_BASE = """
+plant_type = rational
+plant_num = 1, -0.2
+plant_den = 1, -0.9, 0.17
+plant_fir_order = 9
+input_type = filtered
+input_length = 200
+input_filter_num = 1
+input_filter_den = 1, -0.95
+sigma2 = 1.0
+replicates = 100000
+seed = 0
+"""
+
+# The reference random-input scenario with a Monte Carlo budget of 20 x 100 records.
+REFERENCE_RANDOM_SMALL = """
+plant_type = rational
+plant_num = 1, -0.2
+plant_den = 1, -0.9, 0.17
+plant_fir_order = 9
+input_type = random_model
+random_min_length = 10
+random_max_length = 20
+random_theta = 20
+random_vartheta = 100
+design_type = output_random
+noise_order = 5
+sigma2 = 0.1
+gamma1 = 0.2
+replicates = 100000
+seed = 0
+"""
+
+# What each design command prints at seed 0, which a refactor must leave unchanged:
+# name -> (command, config, printed pairs).
+GOLDEN_DESIGNS = {
+    "output-ls": ("design-output", README_BASE + "design_type = output_capped\nadversary = ls\n"
+                  "noise_order = 10\ngamma1 = 2.0\n", """\
+l_star_0 = 0.241548449852
+l_star_1 = -0.352739248044
+l_star_2 = 0.366397861232
+l_star_3 = -0.322039734898
+l_star_4 = 0.281553521902
+l_star_5 = -0.281553521902
+l_star_6 = 0.322039734898
+l_star_7 = -0.366397861232
+l_star_8 = 0.352739248044
+l_star_9 = -0.241548449852
+lambda_y = 2
+rho = 2
+predicted_trace = 0.265558633415
+baseline_trace = 0.17068873759
+ratio = 1.55580641796
+"""),
+    "output-rls": ("design-output", README_BASE + "design_type = output_capped\nadversary = rls\n"
+                   "rls_eta = 0.1\nrls_beta = 0.7\nnoise_order = 10\ngamma1 = 2.0\n", """\
+l_star_0 = 0.251989767194
+l_star_1 = -0.37732467847
+l_star_2 = 0.378188783881
+l_star_3 = -0.304417257702
+l_star_4 = 0.241724266896
+l_star_5 = -0.241724266896
+l_star_6 = 0.304417257702
+l_star_7 = -0.378188783881
+l_star_8 = 0.37732467847
+l_star_9 = -0.251989767194
+lambda_y = 2
+rho = 2
+predicted_trace = 0.206361192431
+baseline_trace = 0.138817127866
+ratio = 1.48656866485
+"""),
+    "weighted": ("design-weighted", README_BASE + "design_type = output_weighted\nadversary = ls\n"
+                 "noise_order = 10\ngamma2 = 0.5\n", """\
+l_star_0 = 0.408336887121
+l_star_1 = -0.596304578231
+l_star_2 = 0.619394420434
+l_star_3 = -0.544407148784
+l_star_4 = 0.475965334332
+l_star_5 = -0.475965334332
+l_star_6 = 0.544407148784
+l_star_7 = -0.619394420434
+l_star_8 = 0.596304578231
+l_star_9 = -0.408336887121
+lambda_y = 3.8577795092
+rho = 3.8577795092
+weighted_cost = 3.09456534015
+predicted_trace = 0.600357001492
+baseline_trace = 0.329239757162
+ratio = 1.82346447666
+"""),
+    "input": ("design-input", README_BASE + "design_type = input_capped\nadversary = ls\n"
+              "noise_order = 10\ngamma1 = 2.0\n", """\
+l_star_0 = 0.27176862388
+l_star_1 = -0.560591630275
+l_star_2 = 0.630624060679
+l_star_3 = -0.587380129967
+l_star_4 = 0.538526371692
+l_star_5 = -0.538526371692
+l_star_6 = 0.587380129967
+l_star_7 = -0.630624060679
+l_star_8 = 0.560591630275
+l_star_9 = -0.27176862388
+lambda_y = 2
+rho = 2
+predicted_trace = 0.261807085375
+baseline_trace = 0.17068873759
+ratio = 1.53382753351
+"""),
+    "laplace": ("dp-laplace", README_BASE + "design_type = dp_laplace\ndp_epsilon = 1.0\n"
+                "dp_lower = -1\ndp_upper = 1\n", """\
+mechanism = laplace
+scale = 966.203662701
+epsilon = 1
+delta = 0
+sensitivity = 966.203662701
+lambda_y = 1867100.03563
+predicted_trace = 159346.474018
+baseline_trace = 0.0853443687949
+ratio = 1867100.03563
+"""),
+    "gaussian": ("dp-gaussian", README_BASE + "design_type = dp_gaussian\ndp_epsilon = 1.0\n"
+                 "dp_delta = 1e-5\ndp_lower = -1\ndp_upper = 1\n", """\
+mechanism = gaussian
+scale = 368.618128693
+epsilon = 1
+delta = 1e-05
+sensitivity = 84.1772579593
+lambda_y = 135880.324801
+predicted_trace = 11596.6205518
+baseline_trace = 0.0853443687949
+ratio = 135880.324801
+"""),
+    "random": ("design-random", REFERENCE_RANDOM_SMALL, """\
+l_star_0 = -0.134509615729
+l_star_1 = -0.178625763194
+l_star_2 = 4.8113198582e-16
+l_star_3 = 0.178625763194
+l_star_4 = 0.134509615729
+lambda_y = 0.2
+rho = 2
+predicted_ratio = 2.06316651419
+predicted_trace = 362984.778686
+baseline_trace = 351871.529699
+ratio = 1.0315832571
+"""),
+}
+
+
 class TestAttackSimulation:
     def test_zero_privacy_noise_baseline(self):
         # LS with no masking noise: empirical trace matches sigma2 * tr(inv(R'R)).
@@ -602,6 +752,21 @@ class TestCli:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("name", GOLDEN_DESIGNS)
+    def test_design_commands_print_the_recorded_values(self, name, tmp_path, capsys):
+        command, text, printed = GOLDEN_DESIGNS[name]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 0
+        got = [line.split(" = ") for line in capsys.readouterr().out.splitlines()]
+        want = [line.split(" = ") for line in printed.splitlines()]
+        assert [key for key, _ in got] == [key for key, _ in want]
+        for (key, value), (_, wanted) in zip(got, want):
+            if key == "mechanism":
+                assert value == wanted
+            else:
+                assert float(value) == pytest.approx(float(wanted), rel=1e-9, abs=1e-12), key
 
     def test_design_output_command(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -339,6 +339,14 @@ class TestPrivacyAudit:
             mass = quad(density, -math.inf, 0.0)[0] + quad(density, 0.0, math.inf)[0]
             assert mass == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("b", [0.3, 1.0])
+    def test_noiseless_log_density_is_exact_in_the_tails(self, b):
+        # At |x| = 800 b the density underflows; its logarithm must not.
+        points = np.array([0.0, b, 800.0 * b])
+        expected = -np.abs(points) / b - math.log(2.0 * b)
+        np.testing.assert_allclose(_laplace_gauss_log_density(points, b, 0.0), expected,
+                                   rtol=1e-15, atol=0.0)
+
     def test_instance_size_guard(self):
         box = CoefficientBox(0.0, 1.0, 2)
         with pytest.raises(AuditSizeError):
