@@ -175,26 +175,6 @@ def _toeplitz(c: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(c[..., np.abs(idx[:, np.newaxis] - idx)])
 
 
-def _check_condition(mats: np.ndarray, what: str) -> None:
-    """Raise :class:`ConditioningError` unless every matrix passes ``CONDITION_LIMIT``."""
-    cond = _condition_numbers(mats)
-    bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
-    if bad.size:
-        condition = float(np.ravel(cond)[bad[0]])
-        record = f" (record {bad[0]})" if np.ndim(cond) else ""
-        raise ConditioningError(
-            f"{what} rejected{record}: condition estimate {condition:.3e} "
-            f"exceeds {CONDITION_LIMIT:.0e}",
-            condition=condition,
-        )
-
-
-def _checked_gram(Rm: np.ndarray) -> np.ndarray:
-    gram = np.swapaxes(Rm, -1, -2) @ Rm
-    _check_condition(gram, "normal-equation matrix")
-    return gram
-
-
 def _norm(x: np.ndarray) -> float:
     """Frobenius norm, summed by NumPy.
 
@@ -229,6 +209,24 @@ def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _gram_solve(mats: np.ndarray, rhs, what: str) -> np.ndarray:
+    """Screen a stack of normal matrices, then solve each by :func:`_spd_solve` for its ``rhs``.
+
+    The screen is :func:`_screened_inverse`'s; the first record it rejects
+    raises :class:`ConditioningError` with that record's condition number.
+    """
+    good, _ = _screened_inverse(mats)
+    if not good.all():
+        k = int(np.argmin(good))
+        condition = float(_condition_numbers(mats[k]))
+        raise ConditioningError(
+            f"{what} rejected (record {k}): condition estimate {condition:.3e} "
+            f"exceeds {CONDITION_LIMIT:.0e}",
+            condition=condition,
+        )
+    return np.stack([_spd_solve(mat, b) for mat, b in zip(mats, rhs)])
+
+
 def _regressor_stack(R):
     """The regressors as a contiguous (b, N, n_h) stack, and whether one (N, n_h) was given.
 
@@ -239,20 +237,27 @@ def _regressor_stack(R):
     return (Rm[np.newaxis], True) if Rm.ndim == 2 else (Rm, False)
 
 
-def ls_estimate(R, y) -> LsEstimate:
-    """Ordinary least-squares coefficient estimate.
-
-    Rejects instances whose normal-equation condition estimate exceeds
-    ``CONDITION_LIMIT`` rather than returning a meaningless solution.
-    """
+def _estimate(R, y, estimator_map) -> LsEstimate:
+    """``h_hat = E'y`` on ``E = estimator_map(R)``; a non-finite result raises ConditioningError."""
     Rm = np.asarray(R, dtype=float)
     yv = _samples(y)
     if yv.size != Rm.shape[0]:
         raise DimensionError(f"output length {yv.size} != regressor rows {Rm.shape[0]}")
-    gram = _checked_gram(Rm)
-    rhs = Rm.T @ yv
-    h_hat = _spd_solve(gram, rhs)
-    return LsEstimate(h_hat=h_hat, residual_norm=float(np.linalg.norm(yv - Rm @ h_hat)))
+    h_hat = estimator_map(Rm).T @ yv
+    residual_norm = float(np.linalg.norm(yv - Rm @ h_hat))
+    if not (np.all(np.isfinite(h_hat)) and math.isfinite(residual_norm)):
+        raise ConditioningError("estimate or its fit residual is not finite")
+    return LsEstimate(h_hat=h_hat, residual_norm=residual_norm)
+
+
+def ls_estimate(R, y) -> LsEstimate:
+    """Ordinary least-squares coefficient estimate ``E'y`` on the map ``E = R inv(R'R)``.
+
+    Rejects instances whose normal-equation condition estimate exceeds
+    ``CONDITION_LIMIT``.  The residual guarantee is that of
+    :func:`ls_gram_inverse`'s solve: ``G inv(G) = I`` within ``RESIDUAL_TOL``.
+    """
+    return _estimate(R, y, lambda Rm: Rm @ ls_gram_inverse(Rm))
 
 
 def ls_gram_inverse(R) -> np.ndarray:
@@ -265,7 +270,8 @@ def ls_gram_inverse(R) -> np.ndarray:
     estimate exceeds ``CONDITION_LIMIT``, like :func:`ls_estimate`.
     """
     Rs, single = _regressor_stack(R)
-    inverses = np.stack([_spd_solve(g, np.eye(len(g))) for g in _checked_gram(Rs)])
+    grams = np.swapaxes(Rs, 1, 2) @ Rs
+    inverses = _gram_solve(grams, [np.eye(Rs.shape[-1])] * len(Rs), "normal-equation matrix")
     inverses = (inverses + np.swapaxes(inverses, 1, 2)) / 2.0
     return inverses[0] if single else inverses
 
@@ -280,15 +286,17 @@ def ls_covariance(R, noise_matrix=None, sigma2: float = 0.0) -> ErrorReport:
     return _error_report(R, noise_matrix, sigma2)
 
 
-def ls_trace_quadratic(R, sigma2: float, n_l: int) -> TraceQuadratic:
+def ls_trace_quadratic(R, sigma2: float, n_l: int):
     """Reduce the LS error trace to a quadratic in the MA filter coefficients.
 
     The quadratic's matrix is symmetric Toeplitz: entry (a, b) is the sum of
     the |a-b|-offset diagonal of ``E = R inv(R'R) inv(R'R) R'``.  Computing it
     this way costs O(n_l * N * n_h) and never materializes the huge Kronecker
-    product that defines it.  See :func:`analyze_records`.
+    product that defines it.  One regressor (N, n_h) gives one quadratic and a
+    stack (b, N, n_h) a list of b, one per record.  See :func:`analyze_records`.
     """
-    return analyze_records(R, sigma2, n_l)[0]
+    quads = analyze_records(R, sigma2, n_l)
+    return quads[0] if np.ndim(R) == 2 else quads
 
 
 def _kernel_inverse(kernel: Kernel) -> np.ndarray:
@@ -316,24 +324,17 @@ def rls_gain(R, kernel: Kernel) -> np.ndarray:
         raise DimensionError(f"kernel size {kernel.size} != coefficient count {Rs.shape[-1]}")
     Rt = np.swapaxes(Rs, -1, -2)
     mats = Rt @ Rs + kernel.eta * _kernel_inverse(kernel)
-    _check_condition(mats, "regularized normal matrix")
-    gains = np.stack([_spd_solve(mat, rt) for mat, rt in zip(mats, Rt)])
+    gains = _gram_solve(mats, Rt, "regularized normal matrix")
     return gains[0] if single else gains
 
 
 def rls_estimate(R, y, kernel: Kernel) -> LsEstimate:
     """Kernel-regularized least-squares estimate.
 
-    Minimizes ``||y - R h||^2 + eta * h' inv(K) h``.  A numerically singular
-    kernel is rejected (see :func:`rls_gain`).
+    Minimizes ``||y - R h||^2 + eta * h' inv(K) h`` as ``C y`` on the gain C of
+    :func:`rls_gain`, which rejects a numerically singular kernel.
     """
-    Rm = np.asarray(R, dtype=float)
-    yv = _samples(y)
-    if yv.size != Rm.shape[0]:
-        raise DimensionError(f"output length {yv.size} != regressor rows {Rm.shape[0]}")
-    C = rls_gain(R, kernel)
-    h_hat = C @ yv
-    return LsEstimate(h_hat=h_hat, residual_norm=float(np.linalg.norm(yv - Rm @ h_hat)))
+    return _estimate(R, y, lambda Rm: rls_gain(Rm, kernel).T)
 
 
 def rls_mse(
@@ -381,15 +382,16 @@ def rls_trace_quadratic(
     kernel: Kernel,
     sigma2: float,
     n_l: int,
-) -> TraceQuadratic:
+):
     """Reduce the regularized-estimator MSE trace to a quadratic in ``l``.
 
-    Same Toeplitz construction as :func:`ls_trace_quadratic` with
-    ``E = C'C``; the offset collects the bias term and the measurement-noise
-    term, neither of which depends on the MA filter.  See
-    :func:`analyze_records`.
+    Same Toeplitz construction, and the same one-quadratic or list result, as
+    :func:`ls_trace_quadratic` with ``E = C'C``; the offset collects the bias
+    term and the measurement-noise term, neither of which depends on the MA
+    filter.  See :func:`analyze_records`.
     """
-    return analyze_records(R, sigma2, n_l, kernel, h_true)[0]
+    quads = analyze_records(R, sigma2, n_l, kernel, h_true)
+    return quads[0] if np.ndim(R) == 2 else quads
 
 
 def analyze_records(
@@ -409,9 +411,9 @@ def analyze_records(
     gain C (:func:`rls_gain`), whose bias needs ``h_true``.  Everything else
     is derived from the map: the noise gain ``tr(C C')``, the squared bias
     ``||h - C R h||^2`` and the first ``n_l`` diagonal sums of ``C'C``, which
-    define the Toeplitz trace quadratic.  The condition test runs on the
-    whole stack at once; any record that fails it, or the residual check of
-    its solve, fails the whole call.
+    define the Toeplitz trace quadratic.  Every record's normal matrix is
+    screened and solved by ``_gram_solve``; any record that fails the
+    condition test, or the residual check of its solve, fails the whole call.
     """
     _check_count("n_l", n_l)
     _check_finite("sigma2", sigma2, 0.0)

@@ -41,7 +41,6 @@ from .estimators import (
     Kernel,
     RecordQuadratic,
     _screened_maps,
-    analyze_records,
     ls_trace_quadratic,
     rls_trace_quadratic,
     stable_spline_kernel,
@@ -312,8 +311,6 @@ def _analyze_fixed(config: ExperimentConfig, h: FirModel, reg: np.ndarray):
     n_l = 1 if config.design_type in MECHANISM_TYPES else config.noise_order
     if config.design_type == "input_capped":
         n_l += len(h) - 1
-    if reg.ndim == 3:
-        return analyze_records(reg, config.sigma2, n_l, kernel, h)
     if kernel is not None:
         return rls_trace_quadratic(reg, h, kernel, config.sigma2, n_l)
     return ls_trace_quadratic(reg, config.sigma2, n_l)

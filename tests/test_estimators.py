@@ -25,10 +25,12 @@ from firpriv import (
     rls_trace_quadratic,
     stable_spline_kernel,
 )
+from firpriv import estimators
 from firpriv.estimators import (
     CONDITION_LIMIT,
     RESIDUAL_TOL,
     _condition_numbers,
+    _kernel_inverse,
     _screened_inverse,
     _screened_maps,
     _spd_solve,
@@ -397,6 +399,25 @@ class TestAnalyzeRecords:
             else:
                 np.testing.assert_allclose(stack[k] @ ls_gram_inverse(stack[k]), emap, **close)
 
+    @pytest.mark.parametrize("rls", [False, True])
+    def test_wrappers_give_one_quadratic_per_record_of_a_stack(self, rls):
+        rng = np.random.default_rng(33)
+        n_h, n_l, sigma2 = 4, 5, 0.4
+        stack = build_regressor(rng.standard_normal((3, 30)), n_h)
+        h = rng.standard_normal(n_h)
+        kernel = spline_kernel(n_h) if rls else None
+        quads = (
+            rls_trace_quadratic(stack, h, kernel, sigma2, n_l)
+            if rls
+            else ls_trace_quadratic(stack, sigma2, n_l)
+        )
+        assert len(quads) == 3
+        for k, quad in enumerate(quads):
+            want = analyze_records(stack[k], sigma2, n_l, kernel, h)[0]
+            np.testing.assert_array_equal(quad.matrix, want.matrix)
+            assert quad.offset == want.offset
+            np.testing.assert_array_equal(quad.estimator_map, want.estimator_map)
+
     def test_rank_deficient_record_fails_the_batch(self):
         rng = np.random.default_rng(31)
         records = rng.standard_normal((20, 50))
@@ -611,6 +632,80 @@ class TestScreenedInverse:
                 r_k = build_regressor(stack[k], 9)
                 expected = r_k @ np.linalg.inv(r_k.T @ r_k)
                 np.testing.assert_allclose(a, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+#: A kernel whose tiny weight leaves R'R unchanged in rounding, so a regularized
+#: normal matrix is as near the limit, or as singular, as the regressor's Gram.
+TINY_KERNEL = Kernel(np.eye(5), eta=1e-30)
+
+
+def fixed_stack_solve(stack, rls):
+    """The call under test, the normal matrices it must screen, and their name."""
+    mats = np.swapaxes(stack, 1, 2) @ stack
+    if rls:
+        mats = mats + TINY_KERNEL.eta * _kernel_inverse(TINY_KERNEL)
+        return lambda: rls_gain(stack, TINY_KERNEL), mats, "regularized normal matrix"
+    return lambda: ls_gram_inverse(stack), mats, "normal-equation matrix"
+
+
+class TestFixedStackScreen:
+    """``ls_gram_inverse`` and ``rls_gain`` reject exactly where the exact test does."""
+
+    def assert_rejects_as_exact_test(self, stack, rls):
+        call, mats, what = fixed_stack_solve(stack, rls)
+        cond = _condition_numbers(mats)
+        bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
+        if not bad.size:
+            try:
+                call()
+            except ConditioningError as exc:
+                # Near the limit an accepted solve may still miss RESIDUAL_TOL.
+                assert exc.condition is None and "residual" in str(exc)
+            return False
+        k = bad[0]
+        with pytest.raises(ConditioningError) as excinfo:
+            call()
+        assert str(excinfo.value) == (
+            f"{what} rejected (record {k}): condition estimate {cond[k]:.3e} exceeds 1e+12"
+        )
+        assert excinfo.value.condition == cond[k]
+        return True
+
+    @pytest.mark.parametrize("rls", [False, True])
+    def test_near_limit_records_take_the_exact_test(self, rls):
+        # Records whose Gram is one of near_limit_grams, up to rounding: the
+        # exact test accepts some and rejects others, and the screen must agree.
+        rng = np.random.default_rng(8)
+        near = near_limit_grams(5, 16, seed=9)
+        q = np.linalg.qr(rng.standard_normal((16, 40, 5)))[0]
+        near_regs = q @ np.swapaxes(np.linalg.cholesky(near), 1, 2)
+        outcomes = set()
+        for k, reg in enumerate(near_regs):
+            stack = rng.standard_normal((4, 40, 5))
+            stack[k % 4] = reg
+            outcomes.add(self.assert_rejects_as_exact_test(stack, rls))
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("rls", [False, True])
+    def test_rank_deficient_record_is_rejected(self, rls):
+        rng = np.random.default_rng(10)
+        stack = rng.standard_normal((6, 40, 5))
+        stack[3] = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 5))
+        assert self.assert_rejects_as_exact_test(stack, rls)
+
+    @pytest.mark.parametrize("rls", [False, True])
+    def test_well_conditioned_stacks_take_no_eigenvalue_test(self, rls, monkeypatch):
+        calls = []
+
+        def counted(mats):
+            calls.append(len(mats))
+            return _condition_numbers(mats)
+
+        monkeypatch.setattr(estimators, "_condition_numbers", counted)
+        stack = np.random.default_rng(11).standard_normal((20, 40, 5))
+        call, _, _ = fixed_stack_solve(stack, rls)
+        assert len(call()) == 20
+        assert calls == []
 
 
 class TestStableSplineKernel:
