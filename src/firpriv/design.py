@@ -297,6 +297,9 @@ def estimate_expected_quadratic(
     if redraws exceed ``FAILURE_BUDGET`` of the sample budget.  Each length draw
     has its own stream, redraws and sums, reduced in draw order, so spreading
     units of ``QUAD_UNIT_RECORDS`` records over ``threads`` changes no bit.
+    So a seed reproduces it bit for bit, but to only about 7 significant digits:
+    the unrefined ``inv(R'R)`` errs by up to 1.8e-8 of its largest entry on
+    records with a condition in (1e8, 1e12], which dominate the noise gain.
     """
     _check_count("n_l", n_l)
     _check_count("threads", threads)

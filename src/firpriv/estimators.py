@@ -23,7 +23,9 @@ from .lti import (
 # SciPy's LAPACK wrappers, which lti loads without importing scipy.linalg.
 dpotrf, dpotrs = _LAPACK.dpotrf, _LAPACK.dpotrs
 
-#: Solves are rejected when the normal-equation condition estimate exceeds this.
+#: Solves are rejected when the normal-equation condition estimate exceeds this.  Every
+#: LS inverse (right-hand side I, see :func:`ls_gram_inverse`) fails ``RESIDUAL_TOL`` first,
+#: from a Gram condition of about 1e7, with ``condition = None``; RLS gains do not.
 CONDITION_LIMIT = 1e12
 
 #: Largest fraction of a Monte Carlo run's random instances that may fail ``CONDITION_LIMIT``.
@@ -267,7 +269,9 @@ def ls_gram_inverse(R) -> np.ndarray:
     inverse or a stack of them.  Its trace is the LS noise gain
     ``tr(inv(R'R))`` and ``R @ inverse`` is the estimator map
     (``h_hat = (R @ inverse)' y``).  Rejects instances whose condition
-    estimate exceeds ``CONDITION_LIMIT``, like :func:`ls_estimate`.
+    estimate exceeds ``CONDITION_LIMIT``, like :func:`ls_estimate`; but the
+    solve's ``RESIDUAL_TOL`` check rejects from a condition of about 1e7, with
+    ``condition = None`` (random (200, 9) records: 7 of 40 at 1e7, all from 1e8).
     """
     Rs, single = _regressor_stack(R)
     grams = np.swapaxes(Rs, 1, 2) @ Rs
@@ -280,7 +284,7 @@ def ls_covariance(R, noise_matrix=None, sigma2: float = 0.0) -> ErrorReport:
     """Exact covariance ``sigma2 E'E + (L'E)'(L'E)`` of the least-squares estimate.
 
     E is the record's estimator map ``R inv(R'R)`` from :func:`analyze_records`
-    and L the :class:`BandedFilterMatrix` ``noise_matrix`` (or None).  It takes
+    and L the :class:`BandedFilterMatrix` ``noise_matrix`` (None: zero).  It takes
     O(N*m*n_h); the dense band is never built.
     """
     return _error_report(R, noise_matrix, sigma2)
@@ -368,10 +372,9 @@ def _error_report(R, noise_matrix, sigma2: float, kernel=None, h_true=None) -> E
     if kernel is not None:
         bias_vec = _samples(h_true) - E.T @ (Rm @ _samples(h_true))
         err = err + np.outer(bias_vec, bias_vec)
-    if noise_matrix is not None:
-        m = noise_matrix.coeffs.size
-        LtE = _windows(E.T, m, trailing=m - 1) @ noise_matrix.coeffs[::-1]
-        err = err + LtE @ LtE.T
+    coeffs = np.zeros(1) if noise_matrix is None else noise_matrix.coeffs  # none: zero filter
+    LtE = _windows(E.T, coeffs.size, trailing=coeffs.size - 1) @ coeffs[::-1]
+    err = err + LtE @ LtE.T
     err = (err + err.T) / 2.0
     return ErrorReport(err, float(np.trace(err)), "LS" if kernel is None else "RLS")
 

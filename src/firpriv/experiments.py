@@ -209,10 +209,10 @@ def _fixed_input_attack(
     noise, MA noise ``L v`` plus white noise of variance ``w`` (``sigma2``
     plus a Gaussian mechanism's variance), has covariance ``LL' + wI``, so
     each replicate draws it whole as ``C z``: N standard normals ``z``
-    through the banded factor C of :meth:`BandedFilterMatrix.noise_factor`,
-    or ``sqrt(w) I`` without a filter.  The estimator map E is linear, so the
-    error is ``(R h E - h) + z (C'E) + lap E`` with Laplace mechanism noise
-    ``lap``; ``C'E`` takes O(N*m*n_h) and the dense band is never built.
+    through the banded factor C of :meth:`BandedFilterMatrix.noise_factor`;
+    no filter is the zero filter, whose C is ``sqrt(w) I``.  The estimator
+    map E is linear, so the error is ``(R h E - h) + z (C'E) + lap E`` with
+    Laplace noise ``lap``; ``C'E`` takes O(N*m*n_h), never the dense band.
 
     Work units of ``ATTACK_UNIT`` replicates each have their own SFC64
     ``replicate_stream(seed, "attack", unit)``, which gives all ``z`` rows and
@@ -227,10 +227,9 @@ def _fixed_input_attack(
     bias = mean_y @ estimator_map - h
     laplace = mech if mech is not None and mech.kind == "laplace" else None
     w = sigma2 + (mech.noise_variance if mech is not None and laplace is None else 0.0)
-    if ma_coeffs is not None:
-        noise_map = factor_adjoint(build_filter_matrix(ma_coeffs, n).noise_factor(w), estimator_map)
-    else:
-        noise_map = np.sqrt(w) * estimator_map if w > 0 else None
+    ma = ma_coeffs if ma_coeffs is not None else np.zeros(1)  # no filter: zero MA noise
+    noise_map = (factor_adjoint(build_filter_matrix(ma, n).noise_factor(w), estimator_map)
+                 if w > 0 or np.any(ma) else None)  # None: w = 0 and the filter is zero
 
     def worker(unit: int, count: int):
         gen = replicate_stream(seed, "attack", unit)
@@ -329,9 +328,8 @@ def _design_fixed(config: ExperimentConfig, h: FirModel, r: np.ndarray, quad: Re
             mech = gaussian_mechanism(
                 config.dp_epsilon, config.dp_delta, l2_sensitivity(r, box), config.sigma2
             )
-        predicted = quad.bias + (mech.noise_variance + config.sigma2) * quad.noise_gain
-        baseline = quad.bias + config.sigma2 * quad.noise_gain  # no-privacy baseline
-        return None, mech, None, predicted, baseline
+        # The mechanism is white noise at lambda_y; without it only sigma2 is left.
+        return None, mech, None, quad.bias + mech.lambda_y * quad.noise_gain, quad.offset
     if config.design_type == "input_capped":
         design = _design_input(quad, h.coeffs, config.sigma2, config.gamma1, config.noise_order)
     elif config.design_type == "output_capped":

@@ -328,12 +328,12 @@ def simulate(
     channel : {"output", "input", "none"}
         Where the masking noise enters.  "output" adds the MA process driven
         by ``l`` to the output; "input" adds it to the plant input, so its
-        output contribution is the MA process of ``conv(h, l)``; "none" adds
-        no masking noise.
+        output contribution is the MA process of ``conv(h, l)``; "none" is
+        the zero filter, which adds no masking noise.
     l : array_like, optional
         MA filter coefficients (required unless channel == "none").
     sigma2 : float
-        Variance of the white measurement noise.
+        Variance of the white measurement noise; 0 is a zero white channel.
     seed : int
         Stream seed; draws are a pure function of (seed, stream, index).
 
@@ -350,17 +350,14 @@ def simulate(
 
     if channel not in ("output", "input", "none"):
         raise ParameterError(f"channel must be output/input/none, got {channel!r}")
-    if channel != "none":
-        if l is None:
-            raise ParameterError("channel with masking noise requires filter coefficients l")
-        coeffs = _samples(l)
-        if channel == "input":
-            coeffs = np.convolve(h.coeffs, coeffs)
-        v = stream(seed, "v").standard_normal(n + coeffs.size - 1)
-        y = y + np.convolve(v, coeffs, mode="valid")
-    if sigma2 > 0:
-        y = y + np.sqrt(sigma2) * stream(seed, "e").standard_normal(n)
-    return _readonly(y)
+    if channel != "none" and l is None:
+        raise ParameterError("channel with masking noise requires filter coefficients l")
+    coeffs = np.zeros(1) if channel == "none" else _samples(l)
+    if channel == "input":
+        coeffs = np.convolve(h.coeffs, coeffs)
+    v = stream(seed, "v").standard_normal(n + coeffs.size - 1)
+    y = y + np.convolve(v, coeffs, mode="valid")
+    return _readonly(y + np.sqrt(sigma2) * stream(seed, "e").standard_normal(n))
 
 
 def generate_filtered_input(w_filter: RationalFilter, n_samples: int, seed=0) -> np.ndarray:

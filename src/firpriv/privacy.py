@@ -180,8 +180,6 @@ def _draw_mechanism(gen: np.random.Generator, mech: DpMechanism, shape) -> np.nd
     """Noise of a calibrated mechanism in the given shape, drawn from ``gen``."""
     if mech.kind == "gaussian":
         return mech.scale * gen.standard_normal(shape)
-    if mech.scale == 0.0:
-        return np.zeros(shape)
     # 2**-53 is the smallest nonzero draw of ``random``; 0.0 itself would give -inf.
     u = np.clip(gen.random(shape), 2.0**-53, 1.0 - 1e-16)
     # Inverse CDF of the Laplace distribution applied to a uniform draw.

@@ -469,6 +469,17 @@ class TestFixedInputAttack:
         assert mean == pytest.approx(ref_mean, rel=1e-10)
         assert se == pytest.approx(ref_se, rel=1e-10)
 
+    @pytest.mark.parametrize("channel", ["sigma2", "gaussian", "laplace+sigma2"])
+    def test_no_filter_is_the_zero_filter(self, channel):
+        h, mean_y, estimator_map, _, mech = attack_inputs(200, channel)
+        if channel == "gaussian":
+            mech = gaussian_mechanism(1.0, 1e-5, 0.8)
+        sigma2 = 0.3 if channel.endswith("sigma2") else 0.0
+        args = (h, mean_y, estimator_map)
+        rest = (mech, sigma2, 9, 3 * ATTACK_UNIT + 5)
+        none = _fixed_input_attack(*args, None, *rest, threads=2)
+        assert none == _fixed_input_attack(*args, np.zeros(1), *rest, threads=2)
+
     def test_noiseless_dp_design_runs(self):
         # sigma2 = 0: the no-privacy LS error is zero, the mechanism's is not.
         text = DP_CONFIG.replace("sigma2 = 0.25", "sigma2 = 0").replace(

@@ -240,6 +240,14 @@ class TestNoiseFactor:
         x = rng.standard_normal((n, 3))
         np.testing.assert_allclose(factor_adjoint(bands, x), factor.T @ x, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [10, 100, 2000])
+    def test_zero_filter_factor_is_a_scaled_identity(self, n):
+        rng = np.random.default_rng(n)
+        E = rng.standard_normal((n, 9))
+        for w in rng.uniform(0.01, 10.0, 5):
+            bands = build_filter_matrix([0.0], n).noise_factor(w)
+            assert np.array_equal(factor_adjoint(bands, E), np.sqrt(w) * E)
+
     def test_singular_covariance_rejected(self):
         with pytest.raises(ConditioningError):
             build_filter_matrix([0.0, 0.0], 6).noise_factor(0.0)
@@ -290,6 +298,15 @@ class TestSimulate:
         np.testing.assert_allclose(
             y, build_regressor(r, 4) @ h.coeffs, atol=1e-12
         )
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_no_channel_is_the_zero_filter(self, seed):
+        rng = np.random.default_rng(seed)
+        h = FirModel(rng.standard_normal(4))
+        r = rng.standard_normal(50)
+        none = simulate(h, r, channel="none", sigma2=0.3, seed=seed)
+        zero = simulate(h, r, channel="output", l=[0.0], sigma2=0.3, seed=seed)
+        assert np.array_equal(none, zero)
 
     def test_masking_noise_matches_band_model(self):
         # Same driving draws as the dense banded-matrix model, for both channels.

@@ -242,6 +242,13 @@ class TestGaussianMechanism:
             gaussian_mechanism(1.0, 1.0, 1.0)
 
 
+class ZeroUniforms:
+    """A generator whose every uniform draw is 0.0, the one value the Laplace sampler clips."""
+
+    def random(self, shape):
+        return np.zeros(shape)
+
+
 class TestSampleMechanism:
     def test_zero_scale_draws_zeros(self):
         mech = laplace_mechanism(epsilon=1.0, sensitivity=0.0)
@@ -259,13 +266,16 @@ class TestSampleMechanism:
         assert draws.var() == pytest.approx(1.0, rel=0.01)
 
     def test_laplace_zero_uniform_draw_is_finite(self):
-        class ZeroUniforms:
-            def random(self, shape):
-                return np.zeros(shape)
-
         mech = laplace_mechanism(epsilon=1.0, sensitivity=1.0)
         noise = _draw_mechanism(ZeroUniforms(), mech, 3)
         np.testing.assert_allclose(noise, -52.0 * math.log(2.0), rtol=1e-15)
+
+    def test_zero_scale_laplace_draws_finite_zeros(self):
+        mech = laplace_mechanism(epsilon=1.0, sensitivity=0.0)
+        for gen in (np.random.default_rng(7), ZeroUniforms()):
+            noise = _draw_mechanism(gen, mech, (40, 25))
+            assert noise.shape == (40, 25)
+            assert np.all(np.isfinite(noise)) and np.all(noise == 0.0)
 
     def test_deterministic_in_seed(self):
         mech = laplace_mechanism(epsilon=1.0, sensitivity=1.0)
