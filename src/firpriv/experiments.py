@@ -67,7 +67,7 @@ from .privacy import (
 from .rng import _run_chunks, derive, replicate_stream, stream
 
 #: Replicates per random-input attack work unit; fixed so results do not depend on threads.
-#: Each chunk has its own stream and its own error sums, reduced in chunk order.  The
+#: Each chunk has its own stream; its squared errors are concatenated in chunk order.  The
 #: ``reproduce --which random`` CSV reports these draws, so the size stays.
 CHUNK = 8192
 
@@ -182,14 +182,16 @@ def _resolve_kernel(config: ExperimentConfig, n_h: int) -> Optional[Kernel]:
     return Kernel(stable_spline_kernel(n_h, config.rls_beta), eta=config.rls_eta)
 
 
-def _mean_and_se(parts):
-    """Mean squared error and its standard error from per-chunk ``(sum, sum of squares, count)``."""
-    total_sq = sum(p[0] for p in parts)
-    total_sq2 = sum(p[1] for p in parts)
-    count = sum(p[2] for p in parts)
-    mean = total_sq / count
-    var = max(total_sq2 / count - mean * mean, 0.0)
-    return mean, float(np.sqrt(var / count))
+def _mean_and_se(sq: np.ndarray):
+    """Mean of the squared errors ``sq`` and its standard error ``sq.std() / sqrt(sq.size)``.
+
+    Both are NumPy's two-pass moments of ``sq / 2**e``, with ``e = np.frexp(sq.max())[1]``,
+    times ``2**e``.  That scaling is exact, so the moments cannot overflow, and they equal the
+    unscaled ones bit for bit wherever neither computation leaves the normal range.
+    """
+    scale = np.ldexp(1.0, np.frexp(sq.max())[1])
+    scaled = sq / scale
+    return float(scaled.mean() * scale), float(scaled.std() / np.sqrt(sq.size) * scale)
 
 
 def _fixed_input_attack(
@@ -216,10 +218,10 @@ def _fixed_input_attack(
 
     Work units of ``ATTACK_UNIT`` replicates each have their own SFC64
     ``replicate_stream(seed, "attack", unit)``, which gives all ``z`` rows and
-    then the ``lap`` rows, and their own sums, reduced in unit order.  Only
-    these draws leave Philox: they are most of ``simulate``'s time, and no
-    design output or ``reproduce`` CSV depends on them.  A worker draws
-    each channel in row blocks of at most ``FOLD_MACS`` multiply-adds and
+    then the ``lap`` rows, and return their squared errors, concatenated in
+    unit order.  Only these draws leave Philox: they are most of ``simulate``'s
+    time, and no design output or ``reproduce`` CSV depends on them.  A worker
+    draws each channel in row blocks of at most ``FOLD_MACS`` multiply-adds and
     adds each block's product with its map to the error at once, so its
     memory does not grow with N; a block size changes no draw.
     """
@@ -245,10 +247,9 @@ def _fixed_input_attack(
             fold(gen.standard_normal, noise_map)
         if laplace is not None:
             fold(lambda shape: _draw_mechanism(gen, laplace, shape), estimator_map)
-        sq = np.einsum("bj,bj->b", err, err)
-        return float(sq.sum()), float((sq * sq).sum()), count
+        return np.einsum("bj,bj->b", err, err)
 
-    return (*_mean_and_se(_run_chunks(worker, replicates, threads, ATTACK_UNIT)), 0)
+    return (*_mean_and_se(np.concatenate(_run_chunks(worker, replicates, threads, ATTACK_UNIT))), 0)
 
 
 def _random_input_attack(
@@ -276,7 +277,7 @@ def _random_input_attack(
         v_block = gen.standard_normal((count, max_len + ma.size - 1))
         e_block = np.sqrt(sigma2) * gen.standard_normal((count, max_len))
         ma_noise = build_regressor(v_block, ma.size)[:, ma.size - 1 :] @ ma
-        sum_sq, sum_sq2, failures = 0.0, 0.0, 0
+        sq, failures = [], 0
         for n in np.unique(lengths):
             idx = np.flatnonzero(lengths == n)
             good, R, _, A = _screened_maps(r_block[idx, :n], h.size)
@@ -284,18 +285,15 @@ def _random_input_attack(
             failures += idx.size - rows.size
             y = np.einsum("bij,j->bi", R, h) + ma_noise[rows, :n] + e_block[rows, :n]
             err = np.einsum("bij,bi->bj", A, y) - h
-            sq = np.einsum("bj,bj->b", err, err)
-            sum_sq += float(sq.sum())
-            sum_sq2 += float((sq * sq).sum())
-        return sum_sq, sum_sq2, count - failures, failures
+            sq.append(np.einsum("bj,bj->b", err, err))
+        return np.concatenate(sq), failures
 
-    parts = _run_chunks(worker, replicates, threads, CHUNK)
-    failures = sum(p[3] for p in parts)
-    if failures > FAILURE_BUDGET * replicates:
+    sq, failures = zip(*_run_chunks(worker, replicates, threads, CHUNK))
+    if sum(failures) > FAILURE_BUDGET * replicates:
         raise RedrawBudgetError(
-            f"{failures} of {replicates} attack replicates hit the conditioning limit"
+            f"{sum(failures)} of {replicates} attack replicates hit the conditioning limit"
         )
-    return (*_mean_and_se(parts), failures)
+    return (*_mean_and_se(np.concatenate(sq)), sum(failures))
 
 
 def _analyze_fixed(config: ExperimentConfig, h: FirModel, reg: np.ndarray):

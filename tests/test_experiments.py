@@ -41,9 +41,11 @@ from firpriv.experiments import (
     ATTACK_UNIT,
     CHUNK,
     REFERENCE_CONFIGS,
+    REFERENCE_RANDOM_FILTER,
     _analyze_fixed,
     _design_fixed,
     _fixed_input_attack,
+    _mean_and_se,
     _random_input_attack,
     _resolve_fixed_input,
     _resolve_kernel,
@@ -53,6 +55,7 @@ from firpriv.experiments import (
     rows_to_csv,
 )
 from firpriv.lti import factor_adjoint
+from firpriv.privacy import _draw_mechanism
 from firpriv.rng import replicate_stream
 
 LS_CONFIG = """
@@ -512,6 +515,39 @@ class TestFixedInputAttack:
         whole = _fixed_input_attack(*args, threads=2)
         assert folded == pytest.approx(whole, rel=1e-12)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("channel", ["ma+sigma2", "laplace+sigma2"])
+    def test_mean_and_se_are_numpy_moments_of_the_squared_errors(self, channel, threads):
+        # Each unit redrawn in the attack's order: all z rows, then the Laplace rows.
+        h, mean_y, estimator_map, ma, mech = attack_inputs(300, channel)
+        n, replicates = mean_y.size, 2 * ATTACK_UNIT + 100
+        mean, se, failures = _fixed_input_attack(
+            h, mean_y, estimator_map, ma, mech, 0.3, 9, replicates, threads=threads
+        )
+        band = build_filter_matrix(ma if ma is not None else [0.0], n)
+        noise_map = factor_adjoint(band.noise_factor(0.3), estimator_map)
+        sq = []
+        for unit, start in enumerate(range(0, replicates, ATTACK_UNIT)):
+            count = min(ATTACK_UNIT, replicates - start)
+            gen = replicate_stream(9, "attack", unit)
+            err = mean_y @ estimator_map - h + gen.standard_normal((count, n)) @ noise_map
+            if mech is not None:
+                err += _draw_mechanism(gen, mech, (count, n)) @ estimator_map
+            sq.append(np.einsum("bj,bj->b", err, err))
+        sq = np.concatenate(sq)
+        assert failures == 0
+        assert mean == pytest.approx(sq.mean(), rel=1e-12)
+        assert se == pytest.approx(sq.std() / np.sqrt(replicates), rel=1e-12)
+
+    def test_large_noise_budget_gives_a_finite_se(self):
+        # gamma1 = 1e160 puts each squared error near 1e160, whose square overflows.
+        text = README_BASE.replace("replicates = 100000", "replicates = 2000")
+        text += "design_type = output_capped\nnoise_order = 10\ngamma1 = 1e160\n"
+        with np.errstate(over="raise"):
+            report = attack_simulation(parse_config_text(text), threads=1)
+        assert np.isfinite(report.empirical_se) and report.empirical_se > 0
+        assert abs(report.empirical_trace - report.predicted_trace) <= 3 * report.empirical_se
+
 
 class TestRandomInputAttack:
     @pytest.mark.parametrize("sigma2", [0.1, 0.0])
@@ -548,6 +584,24 @@ class TestRandomInputAttack:
             return
         assert mean == pytest.approx(sq.mean(), rel=1e-12)
         assert se == pytest.approx(sq.std() / np.sqrt(replicates), rel=1e-12)
+
+    def test_large_noise_gives_a_finite_se(self):
+        # The reference filter scaled by 1e80 puts each squared error near 1e160.
+        h = reference_plant().coeffs
+        model = RandomInputModel.uniform_gaussian(16, 20, 1, 1)
+        ma = 1e80 * np.asarray(REFERENCE_RANDOM_FILTER)
+        with np.errstate(over="raise"):
+            _, se, failures = _random_input_attack(h, model, ma, 0.1, 31, 3000, 1)
+        assert failures == 0
+        assert np.isfinite(se) and se > 0
+
+
+@pytest.mark.parametrize("size", [1, 7, 20000])
+@pytest.mark.parametrize("magnitude", [1e-100, 1e-3, 1.0, 1e150])
+def test_mean_and_se_equal_the_unscaled_moments_bit_for_bit(magnitude, size):
+    # The power-of-two scaling is exact; these squared deviations neither over- nor underflow.
+    sq = magnitude * np.random.default_rng(size).chisquare(9, size)
+    assert _mean_and_se(sq) == (sq.mean(), sq.std() / np.sqrt(size))
 
 
 DESIGN_CONFIGS = {
