@@ -94,13 +94,6 @@ def _top_eigenpair(mat: np.ndarray):
     return lam1, v1, degenerate
 
 
-def _check_quadratic(quadratic: TraceQuadratic) -> TraceQuadratic:
-    mat = np.asarray(quadratic.matrix, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionError(f"quadratic matrix must be square, got shape {mat.shape}")
-    return quadratic
-
-
 def _check_budget(sigma2: float, gamma1: float) -> None:
     _check_finite("sigma2", sigma2, 0.0, strict=True)  # the designs report lambda_y / sigma2
     if not gamma1 > sigma2:  # NaN fails too
@@ -114,15 +107,14 @@ def design_output_capped(quadratic, sigma2: float, gamma1: float) -> DesignResul
     The optimum points along the top eigenvector of the quadratic's matrix and
     spends the whole budget: ``||l*||^2 = gamma1 - sigma2``.
     """
-    quad = _check_quadratic(quadratic)
     _check_budget(sigma2, gamma1)
-    lam1, v1, degenerate = _top_eigenpair(quad.matrix)
+    lam1, v1, degenerate = _top_eigenpair(quadratic.matrix)
     unmasked = lam1 <= 0.0  # numerically zero objective: any feasible filter is as good as none
-    l_star = np.zeros(quad.n_l) if unmasked else math.sqrt(gamma1 - sigma2) * v1
+    l_star = np.zeros(quadratic.n_l) if unmasked else math.sqrt(gamma1 - sigma2) * v1
     lambda_y = float(l_star @ l_star) + sigma2
     return DesignResult(
         l_star=l_star,
-        predicted_trace=quad.evaluate(l_star),
+        predicted_trace=quadratic.evaluate(l_star),
         lambda_y=lambda_y,
         rho=lambda_y / sigma2,
         active_constraint=not unmasked,
@@ -139,29 +131,28 @@ def design_output_weighted(quadratic, gamma2: float, sigma2: Optional[float] = N
     ``gamma2 * offset**2``; otherwise it points along the top eigenvector with
     squared norm ``1/sqrt(gamma2 * lam1) - offset/lam1``.
     """
-    quad = _check_quadratic(quadratic)
     _check_finite("gamma2", gamma2, 0.0, strict=True)
-    if quad.offset <= 0:
-        raise ParameterError(f"quadratic offset must be > 0, got {quad.offset}")
+    if quadratic.offset <= 0:
+        raise ParameterError(f"quadratic offset must be > 0, got {quadratic.offset}")
     if sigma2 is not None:
         _check_finite("sigma2", sigma2, 0.0, strict=True)
-    lam1, v1, degenerate = _top_eigenpair(quad.matrix)
-    c = quad.offset
+    lam1, v1, degenerate = _top_eigenpair(quadratic.matrix)
+    c = quadratic.offset
     if lam1 <= gamma2 * c * c:
-        l_star = np.zeros(quad.n_l)
+        l_star = np.zeros(quadratic.n_l)
         cost = 1.0 / c
         active = False
     else:
         norm_sq = 1.0 / math.sqrt(gamma2 * lam1) - c / lam1
         l_star = math.sqrt(norm_sq) * v1
-        cost = 1.0 / quad.evaluate(l_star) + gamma2 * norm_sq
+        cost = 1.0 / quadratic.evaluate(l_star) + gamma2 * norm_sq
         active = True
     noise_power = float(l_star @ l_star)
     lambda_y = noise_power + sigma2 if sigma2 is not None else float("nan")
     rho = lambda_y / sigma2 if sigma2 is not None else float("nan")
     return DesignResult(
         l_star=l_star,
-        predicted_trace=quad.evaluate(l_star),
+        predicted_trace=quadratic.evaluate(l_star),
         lambda_y=lambda_y,
         rho=rho,
         active_constraint=active,
@@ -362,6 +353,8 @@ def design_output_random(quadratic, sigma2: float, gamma1: float) -> DesignResul
     expected error trace with and without masking noise:
     ``1 + lam1 * (gamma1 - sigma2) / offset``.
     """
+    if quadratic.offset <= 0:
+        raise ParameterError(f"quadratic offset must be > 0, got {quadratic.offset}")
     result = design_output_capped(quadratic, sigma2, gamma1)
     ratio = 1.0 + result.top_eigenvalue * (gamma1 - sigma2) / quadratic.offset
     return replace(result, predicted_ratio=ratio)

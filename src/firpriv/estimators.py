@@ -9,7 +9,7 @@ designers in :mod:`firpriv.design` optimize against these formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -48,10 +48,11 @@ class LsEstimate:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Regularization kernel: PSD matrix K and penalty weight eta > 0."""
+    """Regularization kernel: positive definite matrix K, its ``inverse`` and weight eta > 0."""
 
     matrix: np.ndarray
     eta: float
+    inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         k = np.asarray(self.matrix, dtype=float)
@@ -62,11 +63,18 @@ class Kernel:
         scale = np.linalg.norm(k)
         if scale > 0 and np.max(np.abs(k - k.T)) > 1e-10 * scale:
             raise ParameterError("kernel matrix must be symmetric")
-        eigs = np.linalg.eigvalsh((k + k.T) / 2.0)
+        object.__setattr__(self, "matrix", (k + k.T) / 2.0)
+        eigs, vecs = np.linalg.eigh(self.matrix)
         if eigs[0] < -1e-10 * max(scale, 1.0):
             raise ParameterError(f"kernel must be positive semidefinite, min eig {eigs[0]:.3e}")
+        null = eigs <= KERNEL_NULL_TOL * max(eigs[-1], 0.0)
+        if np.any(null):
+            raise SingularKernelError(
+                f"kernel is numerically singular ({int(null.sum())} null directions)"
+            )
         _check_finite("eta", self.eta, 0.0, strict=True)
-        object.__setattr__(self, "matrix", (k + k.T) / 2.0)
+        inv = (vecs / eigs) @ vecs.T
+        object.__setattr__(self, "inverse", (inv + inv.T) / 2.0)
 
     @property
     def size(self) -> int:
@@ -88,12 +96,19 @@ class TraceQuadratic:
 
     For every coefficient vector ``l`` of the advertised length,
     ``l @ matrix @ l + offset`` equals the exact error trace of the matching
-    estimator under the MA masking-noise model.
+    estimator under the MA masking-noise model.  Both parts must be finite.
     """
 
     matrix: np.ndarray
     offset: float
     adversary: str = "LS"
+
+    def __post_init__(self):
+        mat = np.asarray(self.matrix, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise DimensionError(f"quadratic matrix must be square, got shape {mat.shape}")
+        if not (np.all(np.isfinite(mat)) and math.isfinite(self.offset)):
+            raise ParameterError(f"quadratic must be finite, got offset {self.offset}")
 
     def evaluate(self, l) -> float:
         l = np.asarray(l, dtype=float)
@@ -303,31 +318,19 @@ def ls_trace_quadratic(R, sigma2: float, n_l: int):
     return quads[0] if np.ndim(R) == 2 else quads
 
 
-def _kernel_inverse(kernel: Kernel) -> np.ndarray:
-    eigs, vecs = np.linalg.eigh(kernel.matrix)
-    null = eigs <= KERNEL_NULL_TOL * max(eigs[-1], 0.0)
-    if np.any(null):
-        raise SingularKernelError(
-            f"kernel is numerically singular ({int(null.sum())} null directions)"
-        )
-    inv = (vecs / eigs) @ vecs.T
-    return (inv + inv.T) / 2.0
-
-
 def rls_gain(R, kernel: Kernel) -> np.ndarray:
     """The linear map C with h_hat = C y for the regularized estimator.
 
     ``R`` is one regressor (N, n_h), giving C of shape (n_h, N), or a stack
     (b, N, n_h), giving (b, n_h, N).  Every record's regularized normal
     matrix ``R'R + eta inv(K)`` must pass ``CONDITION_LIMIT``, and every
-    solve the ``RESIDUAL_TOL`` residual check.  A numerically singular
-    kernel (see ``KERNEL_NULL_TOL``) raises :class:`SingularKernelError`.
+    solve the ``RESIDUAL_TOL`` residual check; ``inv(K)`` is ``kernel.inverse``.
     """
     Rs, single = _regressor_stack(R)
     if kernel.size != Rs.shape[-1]:
         raise DimensionError(f"kernel size {kernel.size} != coefficient count {Rs.shape[-1]}")
     Rt = np.swapaxes(Rs, -1, -2)
-    mats = Rt @ Rs + kernel.eta * _kernel_inverse(kernel)
+    mats = Rt @ Rs + kernel.eta * kernel.inverse
     gains = _gram_solve(mats, Rt, "regularized normal matrix")
     return gains[0] if single else gains
 
@@ -336,7 +339,7 @@ def rls_estimate(R, y, kernel: Kernel) -> LsEstimate:
     """Kernel-regularized least-squares estimate.
 
     Minimizes ``||y - R h||^2 + eta * h' inv(K) h`` as ``C y`` on the gain C of
-    :func:`rls_gain`, which rejects a numerically singular kernel.
+    :func:`rls_gain`.
     """
     return _estimate(R, y, lambda Rm: rls_gain(Rm, kernel).T)
 

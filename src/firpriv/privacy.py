@@ -44,9 +44,9 @@ class CoefficientBox:
 class DpMechanism:
     """Calibrated noise mechanism with the sensitivity it was derived from.
 
-    ``scale`` is the Laplace scale b or the Gaussian standard deviation;
-    ``lambda_y`` is the total stationary output-noise variance including the
-    measurement-noise floor.
+    ``scale`` is the Laplace scale b or the Gaussian standard deviation and ``lambda_y``
+    the total stationary output-noise variance including the measurement-noise floor.
+    ``noise_variance`` and ``lambda_y`` must be finite, or ParameterError is raised.
     """
 
     kind: str  # "laplace" or "gaussian"
@@ -71,10 +71,12 @@ class DpMechanism:
         else:
             if not 0.0 < self.delta < 1.0:
                 raise ParameterError(f"delta must be in (0, 1), got {self.delta}")
+        _check_finite("noise variance", self.noise_variance)
+        _check_finite("lambda_y", self.lambda_y)
 
     @property
     def noise_variance(self) -> float:
-        return 2.0 * self.scale**2 if self.kind == "laplace" else self.scale**2
+        return (2.0 if self.kind == "laplace" else 1.0) * (self.scale * self.scale)
 
 
 def l1_sensitivity(r, box: CoefficientBox) -> float:
@@ -99,7 +101,7 @@ def l2_sensitivity(r, box: CoefficientBox) -> float:
 
 
 def laplace_mechanism(epsilon: float, sensitivity: float, sigma2: float = 0.0) -> DpMechanism:
-    """Tightest Laplace scale achieving epsilon-privacy for the given sensitivity."""
+    """Tightest Laplace scale for epsilon-privacy; ParameterError if its variance overflows."""
     _check_finite("epsilon", epsilon, 0.0, strict=True)
     _check_finite("sensitivity", sensitivity, 0.0)
     _check_finite("sigma2", sigma2, 0.0)
@@ -110,7 +112,7 @@ def laplace_mechanism(epsilon: float, sensitivity: float, sigma2: float = 0.0) -
         epsilon=epsilon,
         delta=0.0,
         sensitivity=sensitivity,
-        lambda_y=2.0 * scale**2 + sigma2,
+        lambda_y=2.0 * (scale * scale) + sigma2,
     )
 
 
@@ -159,9 +161,9 @@ def gaussian_mechanism(
     """Gaussian deviation achieving (epsilon, delta)-privacy by a sufficient condition.
 
     This is the classical calibration from a one-sided tail bound (see
-    :func:`gaussian_noise_multiplier`).  It is not tight: the exact privacy
-    profile of the Gaussian mechanism admits a smaller deviation for the same
-    (epsilon, delta), and the delta it delivers is below the one requested.
+    :func:`gaussian_noise_multiplier`).  It is not tight: the exact privacy profile of
+    the Gaussian mechanism admits a smaller deviation for the same (epsilon, delta), and
+    the delta it delivers is below the one requested.  ParameterError if its variance overflows.
     """
     _check_finite("l2_sensitivity", l2_sensitivity, 0.0)
     _check_finite("sigma2", sigma2, 0.0)
@@ -172,7 +174,7 @@ def gaussian_mechanism(
         epsilon=epsilon,
         delta=delta,
         sensitivity=l2_sensitivity,
-        lambda_y=std**2 + sigma2,
+        lambda_y=std * std + sigma2,
     )
 
 

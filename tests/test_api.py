@@ -41,11 +41,17 @@ NON_FINITE_CALLS = {
     "laplace sensitivity=nan": (lambda: firpriv.laplace_mechanism(1.0, NAN), "sensitivity"),
     "laplace sensitivity=inf": (lambda: firpriv.laplace_mechanism(1.0, INF), "sensitivity"),
     "laplace sigma2=inf": (lambda: firpriv.laplace_mechanism(1.0, 1.0, INF), "sigma2"),
+    "laplace variance overflow": (lambda: firpriv.laplace_mechanism(1e-160, 20.0),
+                                  "noise variance"),
+    "laplace scale overflow": (lambda: firpriv.laplace_mechanism(1e-310, 1.0), "noise variance"),
     "gaussian epsilon=inf": (lambda: firpriv.gaussian_mechanism(INF, 1e-5, 1.0), "epsilon"),
     "gaussian sensitivity=nan": (lambda: firpriv.gaussian_mechanism(1.0, 1e-5, NAN),
                                  "l2_sensitivity"),
     "gaussian sensitivity=inf": (lambda: firpriv.gaussian_mechanism(1.0, 1e-5, INF),
                                  "l2_sensitivity"),
+    "gaussian variance overflow": (lambda: firpriv.gaussian_mechanism(1e-300, 1e-5, 1.0),
+                                   "noise variance"),
+    "quadratic offset=nan": (lambda: firpriv.TraceQuadratic(np.eye(2), NAN), "quadratic"),
     "capped gamma1=inf": (lambda: firpriv.design_output_capped(_quad(), 1.0, INF), "gamma1"),
     "capped sigma2=inf": (lambda: firpriv.design_output_capped(_quad(), INF, INF), "sigma2"),
     "weighted gamma2=inf": (lambda: firpriv.design_output_weighted(_quad(), INF), "gamma2"),
@@ -152,6 +158,19 @@ TYPED_GUARD_CALLS = {
         lambda: firpriv.design_output_capped(
             firpriv.TraceQuadratic(np.ones((2, 3)), 0.5), 1.0, 2.0),
         firpriv.DimensionError),
+    "capped NaN quadratic": (
+        lambda: firpriv.design_output_capped(
+            firpriv.TraceQuadratic(np.full((2, 2), NAN), 1.0), 1.0, 2.0),
+        firpriv.ParameterError),
+    "weighted NaN quadratic": (
+        lambda: firpriv.design_output_weighted(
+            firpriv.TraceQuadratic(np.full((2, 2), NAN), 1.0), 1.0),
+        firpriv.ParameterError),
+    "random zero-offset quadratic": (
+        lambda: firpriv.design_output_random(firpriv.TraceQuadratic(np.eye(2), 0.0), 1.0, 2.0),
+        firpriv.ParameterError),
+    "kernel zero matrix": (lambda: firpriv.Kernel(np.zeros((2, 2)), 1.0),
+                           firpriv.SingularKernelError),
     "config replicates=0": (
         lambda: firpriv.parse_config_text(_CONFIG + "replicates = 0\n"), firpriv.ConfigError),
     "config plant_coeffs=,": (

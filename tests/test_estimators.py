@@ -30,7 +30,6 @@ from firpriv.estimators import (
     CONDITION_LIMIT,
     RESIDUAL_TOL,
     _condition_numbers,
-    _kernel_inverse,
     _screened_inverse,
     _screened_maps,
     _spd_solve,
@@ -257,18 +256,19 @@ class TestRlsEstimate:
         np.testing.assert_allclose(est.h_hat, x, atol=1e-6)
 
     def test_singular_kernel_requires_opt_in(self):
-        rng = np.random.default_rng(15)
-        reg = make_instance(rng, 20, 3)
         h = np.array([1.0, 0.5, 0.25])
-        rank_one = Kernel(np.outer(h, h), eta=0.1)
-        y = reg @ h
-        # There is no opt-in: every regularized path rejects a singular kernel.
-        with pytest.raises(SingularKernelError):
-            rls_estimate(reg, y, rank_one)
-        with pytest.raises(SingularKernelError):
-            rls_mse(reg, h, kernel=rank_one)
-        with pytest.raises(SingularKernelError):
-            analyze_records(reg, 0.1, 2, rank_one, h)
+        # There is no opt-in: a singular kernel cannot be built, so no regularized path gets one.
+        with pytest.raises(SingularKernelError, match="2 null directions"):
+            Kernel(np.outer(h, h), eta=0.1)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.9])
+    def test_kernel_inverse_matches_numpy(self, beta):
+        # The inverse is tridiagonal, so its zeros are compared relative to its largest entry.
+        for n_h in range(2, 13):
+            kernel = Kernel(stable_spline_kernel(n_h, beta), 0.5)
+            expected = np.linalg.inv(kernel.matrix)
+            np.testing.assert_allclose(kernel.inverse, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
 
 
 class TestRlsMse:
@@ -643,7 +643,7 @@ def fixed_stack_solve(stack, rls):
     """The call under test, the normal matrices it must screen, and their name."""
     mats = np.swapaxes(stack, 1, 2) @ stack
     if rls:
-        mats = mats + TINY_KERNEL.eta * _kernel_inverse(TINY_KERNEL)
+        mats = mats + TINY_KERNEL.eta * TINY_KERNEL.inverse
         return lambda: rls_gain(stack, TINY_KERNEL), mats, "regularized normal matrix"
     return lambda: ls_gram_inverse(stack), mats, "normal-equation matrix"
 

@@ -833,6 +833,20 @@ class TestCli:
             else:
                 assert float(value) == pytest.approx(float(wanted), rel=1e-9, abs=1e-12), key
 
+    @pytest.mark.parametrize("command, design", [
+        ("dp-laplace", "laplace"), ("dp-gaussian", "gaussian"),
+        ("simulate", "laplace"), ("simulate", "gaussian"),
+    ])
+    def test_cli_exits_one_on_an_overflowing_calibration(self, command, design, tmp_path, capsys):
+        # At epsilon 1e-160 the README config's calibrated scale is finite but its square is not.
+        cfg = tmp_path / "dp.cfg"
+        cfg.write_text(GOLDEN_DESIGNS[design][1].replace("dp_epsilon = 1.0", "dp_epsilon = 1e-160"))
+        code = main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: noise variance must be finite")
+        assert "Traceback" not in err
+
     def test_design_output_command(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(LS_CONFIG)
