@@ -15,6 +15,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -85,9 +86,9 @@ def _check_finite(name: str, value: float, lower: float = -math.inf, strict: boo
 
 
 def _check_count(name: str, value) -> None:
-    """``ParameterError`` unless ``value`` is None (an unset option) or at least 1."""
-    if value is not None and value < 1:
-        raise ParameterError(f"{name} must be >= 1, got {value}")
+    """``ParameterError`` unless ``value`` is None (an unset option) or an integer >= 1."""
+    if value is not None and not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ParameterError(f"{name} must be >= 1 and an integer, got {value!r}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

@@ -116,17 +116,17 @@ def laplace_mechanism(epsilon: float, sensitivity: float, sigma2: float = 0.0) -
     )
 
 
-def _log_ndtr():
-    """SciPy's ``log_ndtr`` ufunc, from its compiled extension, loaded on first use.
+def _special_ufunc(name: str):
+    """SciPy's ``name`` ufunc (``log_ndtr`` or ``erfcx``), from its compiled extension.
 
-    SciPy releases whose extension is missing or lacks the ufunc give the same
-    function through the public ``scipy.special`` import instead.
+    Loaded on first use.  SciPy releases whose extension is missing or lacks the
+    ufunc give the same function through the public ``scipy.special`` import instead.
     """
     try:
-        return _load_scipy_extension("special", "_special_ufuncs").log_ndtr
+        return getattr(_load_scipy_extension("special", "_special_ufuncs"), name)
     except (ImportError, AttributeError):
-        from scipy.special import log_ndtr
-        return log_ndtr
+        import scipy.special
+        return getattr(scipy.special, name)
 
 
 def gaussian_tail_inverse(delta: float) -> float:
@@ -198,20 +198,23 @@ def sample_mechanism(mech: DpMechanism, n: int, seed: int = 0) -> np.ndarray:
 def _laplace_gauss_log_density(points: np.ndarray, b: float, sigma: float):
     """Log density of Laplace(b) + Gaussian(sigma) noise at the given points.
 
-    For sigma > 0 the convolution has the closed form
-    ``f(x) = [e^(a - x/b) Phi(x/sigma - sigma/b) + e^(a + x/b) Phi(-x/sigma - sigma/b)] / 2b``
-    with ``a = sigma^2 / 2b^2``, evaluated in log space so the tails do not
-    underflow.
+    For sigma > 0 the convolution is ``f(x) = [g(z) + g(-z)] / 2b`` with
+    ``z = x/sigma``, ``t = sigma/b`` and ``g(y) = e^(t^2/2 - t y) Phi(y - t)``,
+    evaluated in log space so the tails do not underflow.  Where ``w = y - t < 0``,
+    ``log g(y) = -y^2/2 + log(erfcx(-w/sqrt 2) / 2)``, free of the two terms of
+    size ``t^2/2`` that cancel (or overflow) when b is far below sigma.
     """
     if sigma == 0.0:
         return -np.abs(points) / b - math.log(2.0 * b)
-    log_ndtr = _log_ndtr()
-    a = 0.5 * (sigma / b) ** 2
-    z = points / sigma
-    t = sigma / b
-    return -math.log(2.0 * b) + np.logaddexp(
-        a - points / b + log_ndtr(z - t), a + points / b + log_ndtr(-z - t)
-    )
+    z, t = points / sigma, sigma / b
+    terms = [np.empty_like(z), np.empty_like(z)]
+    with np.errstate(over="ignore"):  # both branches overflow only to -inf, where g is 0
+        for y, log_g in zip((z, -z), terms):
+            w = y - t
+            low = w < 0
+            log_g[low] = np.log(_special_ufunc("erfcx")(-w[low] / 2**0.5) / 2) - y[low] ** 2 / 2
+            log_g[~low] = t * (t / 2 - y[~low]) + _special_ufunc("log_ndtr")(w[~low])
+    return -math.log(2.0 * b) + np.logaddexp(*terms)
 
 
 def privacy_audit(

@@ -171,6 +171,34 @@ TYPED_GUARD_CALLS = {
         firpriv.ParameterError),
     "kernel zero matrix": (lambda: firpriv.Kernel(np.zeros((2, 2)), 1.0),
                            firpriv.SingularKernelError),
+    "sample_mechanism n=2.5": (
+        lambda: firpriv.sample_mechanism(firpriv.laplace_mechanism(1.0, 1.0), 2.5),
+        firpriv.ParameterError),
+    "build_regressor n_h=2.5": (lambda: firpriv.build_regressor(_R, 2.5), firpriv.ParameterError),
+    "impulse_response n=2.5": (lambda: firpriv.impulse_response(_G, 2.5), firpriv.ParameterError),
+    "fir_truncate order=2.5": (lambda: firpriv.fir_truncate(_G, 2.5), firpriv.ParameterError),
+    "generate_filtered_input n=2.5": (
+        lambda: firpriv.generate_filtered_input(_G, 2.5), firpriv.ParameterError),
+    "convolution_matrix n_cols=2.5": (
+        lambda: firpriv.convolution_matrix([1.0], 2.5), firpriv.ParameterError),
+    "build_filter_matrix n_samples=2.5": (
+        lambda: firpriv.build_filter_matrix([1.0, 0.5], 2.5), firpriv.ParameterError),
+    "stable_spline_kernel n_h=2.5": (
+        lambda: firpriv.stable_spline_kernel(2.5, 0.5), firpriv.ParameterError),
+    "box n_h=2.5": (lambda: firpriv.CoefficientBox(0, 1, 2.5), firpriv.ParameterError),
+    "analyze_records n_l=2.5": (
+        lambda: firpriv.analyze_records(firpriv.build_regressor(_R, 2), 1.0, 2.5),
+        firpriv.ParameterError),
+    "estimate_expected_quadratic n_l=2.5": (
+        lambda: firpriv.estimate_expected_quadratic(
+            firpriv.RandomInputModel([10, 11], [0.5, 0.5], 1, 1), 3, 2.5, 0.5),
+        firpriv.ParameterError),
+    "estimate_expected_quadratic threads=1.5": (
+        lambda: firpriv.estimate_expected_quadratic(
+            firpriv.RandomInputModel([10, 11], [0.5, 0.5], 1, 1), 3, 2, 0.5, threads=1.5),
+        firpriv.ParameterError),
+    "reproduce realizations=2.5": (
+        lambda: firpriv.reproduce(realizations=2.5), firpriv.ParameterError),
     "config replicates=0": (
         lambda: firpriv.parse_config_text(_CONFIG + "replicates = 0\n"), firpriv.ConfigError),
     "config plant_coeffs=,": (
@@ -192,3 +220,10 @@ def test_guards_raise_their_typed_error(case):
     with pytest.raises(firpriv.FirprivError) as info:
         call()
     assert type(info.value) is error
+
+
+def test_numpy_integer_counts_pass():
+    count = np.int64(3)
+    assert firpriv.build_regressor(_R, count).shape == (5, 3)
+    assert firpriv.stable_spline_kernel(count, 0.5).shape == (3, 3)
+    assert firpriv.build_filter_matrix([1.0, 0.5], count).n_samples == 3

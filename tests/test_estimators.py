@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -28,7 +29,6 @@ from firpriv import (
 from firpriv import estimators
 from firpriv.estimators import (
     CONDITION_LIMIT,
-    RESIDUAL_TOL,
     _condition_numbers,
     _screened_inverse,
     _screened_maps,
@@ -483,16 +483,8 @@ class TestAnalyzeRecords:
 
 
 def scipy_spd_solve(mat, rhs):
-    """The refined Cholesky solve written with scipy's cho_factor/cho_solve wrappers."""
-    factor = cho_factor((mat + mat.T) / 2.0)
-    x = cho_solve(factor, rhs)
-    scale = max(np.sqrt(np.sum(rhs * rhs)), 1e-300)
-    for _ in range(3):
-        residual = rhs - mat @ x
-        if np.sqrt(np.sum(residual * residual)) <= RESIDUAL_TOL * scale:
-            return x
-        x = x + cho_solve(factor, residual)
-    return x
+    """The Cholesky solve written with scipy's cho_factor/cho_solve wrappers."""
+    return cho_solve(cho_factor((mat + mat.T) / 2.0), rhs)
 
 
 class TestSpdSolve:
@@ -656,11 +648,7 @@ class TestFixedStackScreen:
         cond = _condition_numbers(mats)
         bad = np.flatnonzero(~(cond <= CONDITION_LIMIT))
         if not bad.size:
-            try:
-                call()
-            except ConditioningError as exc:
-                # Near the limit an accepted solve may still miss RESIDUAL_TOL.
-                assert exc.condition is None and "residual" in str(exc)
+            assert np.all(np.isfinite(call()))
             return False
         k = bad[0]
         with pytest.raises(ConditioningError) as excinfo:
@@ -706,6 +694,56 @@ class TestFixedStackScreen:
         call, _, _ = fixed_stack_solve(stack, rls)
         assert len(call()) == 20
         assert calls == []
+
+
+def conditioned_regressors(cond, count, seed):
+    """(count, 200, 9) regressors with orthonormal factors, log-spaced singular
+    values and Gram condition ``cond``."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((count, 200, 9)))[0]
+    v = np.linalg.qr(rng.standard_normal((count, 9, 9)))[0]
+    return (u * np.logspace(0, -0.5 * np.log10(cond), 9)) @ v
+
+
+def exact_gram_inverse_trace(reg):
+    """tr inv(R'R) from the exact Gram matrix, inverted in 50 digits.
+
+    Every double is an integer times a power of two, so the Gram of the
+    integers shifted to a common exponent is exact.
+    """
+    mant, exp = np.frexp(reg.ravel())
+    low = int(exp.min()) - 53
+    ints = [int(m * 2.0**53) << (e - 53 - low) for m, e in zip(mant.tolist(), exp.tolist())]
+    gram = np.array(ints, dtype=object).reshape(reg.shape)
+    gram = gram.T @ gram
+    with mpmath.workdps(50):
+        inverse = mpmath.matrix([[mpmath.ldexp(g, 2 * low) for g in row] for row in gram]) ** -1
+        return float(mpmath.fsum(inverse[i, i] for i in range(len(gram))))
+
+
+class TestFixedRecordAccuracy:
+    @pytest.mark.parametrize("log_cond", range(4, 12))
+    def test_accepted_up_to_the_limit_with_eps_cond_error(self, log_cond):
+        # Unrefined Cholesky solves err by about eps * cond; the worst seen is
+        # 1.3e-16 * cond, so 2e-15 * cond leaves margin.
+        cond = 10.0**log_cond
+        regs = conditioned_regressors(cond, 10, log_cond)
+        inverses = ls_gram_inverse(regs)
+        assert rls_gain(regs, Kernel(np.eye(9), eta=1e-30)).shape == (10, 9, 200)
+        for reg, inverse in zip(regs, inverses):
+            exact = exact_gram_inverse_trace(reg)
+            assert abs(np.trace(inverse) - exact) <= 2e-15 * cond * exact
+
+    @pytest.mark.parametrize("rls, scale", [(False, 1e-155), (False, 1e160), (True, 1e160)])
+    def test_out_of_range_records_carry_their_condition(self, rls, scale):
+        # An orthonormal record scaled until its LS inverse (1e-155) or its
+        # Gram (1e160) leaves the floating-point range.
+        reg = scale * conditioned_regressors(1.0, 1, 0)[0]
+        call = (lambda: rls_gain(reg, Kernel(np.eye(9), 1.0))) if rls else (
+            lambda: ls_gram_inverse(reg))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConditioningError) as info:
+            call()
+        assert info.value.condition == (np.inf if scale > 1 else pytest.approx(1.0))
 
 
 class TestStableSplineKernel:

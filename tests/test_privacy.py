@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 
 import mpmath
 import numpy as np
@@ -357,6 +358,45 @@ class TestPrivacyAudit:
         np.testing.assert_allclose(_laplace_gauss_log_density(points, b, 0.0), expected,
                                    rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("ratio", [1e-3, 1.0, 1e3, 1e7])
+    def test_noisy_log_density_matches_mpmath(self, ratio):
+        # At sigma / b = ratio; far above 1 the closed form's two terms of size
+        # (sigma / b)^2 / 2 used to cancel, to an error of 0.014 at 1e7.
+        b, sigma = 1.0 / ratio, 1.0
+        points = np.linspace(-10.0 * (b + sigma), 10.0 * (b + sigma), 41)
+
+        def oracle(x):
+            with mpmath.workdps(60):
+                x, t = mpmath.mpf(x), mpmath.mpf(sigma) / b
+                z, a = x / sigma, t * t / 2
+
+                def tilted(y):  # e^(a - y t) Phi(y - t)
+                    return mpmath.exp(a - y * t) * mpmath.erfc((t - y) / mpmath.sqrt(2)) / 2
+
+                return float(mpmath.log((tilted(z) + tilted(-z)) / (2 * mpmath.mpf(b))))
+
+        expected = [oracle(x) for x in points]
+        np.testing.assert_allclose(_laplace_gauss_log_density(points, b, sigma), expected,
+                                   rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("width, b, loss", [(1.0, 1e-160, 20.5), (1e200, 1.0, 1e200)])
+    def test_extreme_scales_give_a_finite_loss_without_warning(self, width, b, loss):
+        # sigma = 1.  At b = 1e-160, (sigma / b)^2 overflowed; the noise is Gaussian
+        # to rounding, so the worst log ratio is 20 d + d^2 / 2 at the grid's end
+        # x = -20.  A box 1e200 wide squares grid points past the double range, and
+        # its loss is the Laplace one, d / b.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = privacy_audit([1.0], CoefficientBox(0, width, 1), 1.0, b, sigma2=1.0)
+        assert result == pytest.approx(loss, rel=1e-14)
+
+    @pytest.mark.parametrize("width", [1e-3, 1e-5, 1e-7])
+    def test_narrow_box_with_equal_scale_has_the_gaussian_loss(self, width):
+        # b = width << sigma = 1: the loss tends to the Gaussian one, 10 s d + d^2 / 2
+        # on the grid end -10 s, s = 1 + 2 width.
+        loss = privacy_audit([1.0], CoefficientBox(0, width, 1), 1.0, width, sigma2=1.0)
+        assert loss == pytest.approx(10 * (1 + 2 * width) * width + width**2 / 2, rel=1e-4)
+
     def test_instance_size_guard(self):
         box = CoefficientBox(0.0, 1.0, 2)
         with pytest.raises(AuditSizeError):
@@ -383,9 +423,11 @@ def test_log_ndtr_is_scipys_in_either_import_order(first, then):
     # One extension module object, whichever side loads it first.
     src = os.path.dirname(os.path.dirname(os.path.abspath(privacy.__file__)))
     code = (
-        f"import sys, {first}; from firpriv import privacy; log_ndtr = privacy._log_ndtr(); "
+        f"import sys, {first}; from firpriv import privacy; "
+        "log_ndtr, erfcx = map(privacy._special_ufunc, ('log_ndtr', 'erfcx')); "
         f"print('scipy.special' in sys.modules); import {then}; import scipy.special; "
-        "print(scipy.special.log_ndtr is log_ndtr is privacy._log_ndtr())"
+        "print(scipy.special.log_ndtr is log_ndtr is privacy._special_ufunc('log_ndtr') "
+        "and scipy.special.erfcx is erfcx)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
@@ -410,7 +452,8 @@ def test_failed_extension_load_falls_back_to_public_log_ndtr(failure, monkeypatc
 
     expected = values()
     monkeypatch.setattr(privacy, "_load_scipy_extension", failing_loader)
-    assert privacy._log_ndtr() is scipy.special.log_ndtr
+    assert privacy._special_ufunc("log_ndtr") is scipy.special.log_ndtr
+    assert privacy._special_ufunc("erfcx") is scipy.special.erfcx
     assert values() == expected
 
 
