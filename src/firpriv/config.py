@@ -15,14 +15,32 @@ from typing import List, Optional
 
 from .errors import ConfigError
 
-PLANT_TYPES = ("fir", "rational")
-INPUT_TYPES = ("white", "filtered", "file", "random_model")
 #: Design types that calibrate a privacy mechanism instead of designing a noise filter.
 MECHANISM_TYPES = ("dp_laplace", "dp_gaussian")
-DESIGN_TYPES = (
-    "output_capped", "output_weighted", "input_capped", "output_random", *MECHANISM_TYPES
-)
-ADVERSARIES = ("ls", "rls")
+
+#: Each mode key's choices, and the keys each choice requires, in the order they are checked.
+_REQUIRES = {
+    "plant_type": {
+        "fir": ("plant_coeffs",),
+        "rational": ("plant_num", "plant_den", "plant_fir_order"),
+    },
+    "input_type": {
+        "white": ("input_length",),
+        "filtered": ("input_length", "input_filter_num", "input_filter_den"),
+        "file": ("input_file",),
+        "random_model": ("random_min_length", "random_max_length",
+                         "random_theta", "random_vartheta"),
+    },
+    "design_type": {
+        "output_capped": ("gamma1", "noise_order"),
+        "output_weighted": ("gamma2", "noise_order"),
+        "input_capped": ("gamma1", "noise_order"),
+        "output_random": ("gamma1", "noise_order"),
+        "dp_laplace": ("dp_epsilon", "dp_lower", "dp_upper"),
+        "dp_gaussian": ("dp_epsilon", "dp_lower", "dp_upper", "dp_delta"),
+    },
+    "adversary": {"ls": (), "rls": ("rls_eta", "rls_beta")},
+}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -102,45 +120,19 @@ def _require(pairs: dict, key: str, context: str):
 def _validate(pairs: dict) -> None:
     for key in ("plant_type", "input_type", "design_type", "sigma2"):
         _require(pairs, key, "always required")
+    for mode, choices in _REQUIRES.items():
+        value = pairs.get(mode, "ls")  # adversary is the one optional mode key
+        if value not in choices:
+            raise ConfigError(f"{mode} must be one of {tuple(choices)}, got {value!r}")
+        for key in choices[value]:
+            _require(pairs, key, f"{mode} = {value}")
 
-    plant = pairs["plant_type"]
-    if plant not in PLANT_TYPES:
-        raise ConfigError(f"plant_type must be one of {PLANT_TYPES}, got {plant!r}")
-    if plant == "fir":
-        _require(pairs, "plant_coeffs", "plant_type = fir")
-    else:
-        for key in ("plant_num", "plant_den", "plant_fir_order"):
-            _require(pairs, key, "plant_type = rational")
-
-    kind = pairs["input_type"]
-    if kind not in INPUT_TYPES:
-        raise ConfigError(f"input_type must be one of {INPUT_TYPES}, got {kind!r}")
-    if kind in ("white", "filtered"):
-        _require(pairs, "input_length", f"input_type = {kind}")
-    if kind == "filtered":
-        for key in ("input_filter_num", "input_filter_den"):
-            _require(pairs, key, "input_type = filtered")
-    if kind == "file":
-        _require(pairs, "input_file", "input_type = file")
-        if not os.path.exists(pairs["input_file"]):
-            raise ConfigError(f"input_file {pairs['input_file']!r} does not exist")
-    if kind == "random_model":
-        for key in ("random_min_length", "random_max_length", "random_theta", "random_vartheta"):
-            _require(pairs, key, "input_type = random_model")
-
-    design = pairs["design_type"]
-    if design not in DESIGN_TYPES:
-        raise ConfigError(f"design_type must be one of {DESIGN_TYPES}, got {design!r}")
-    if design in MECHANISM_TYPES:
-        for key in ("dp_epsilon", "dp_lower", "dp_upper"):
-            _require(pairs, key, f"design_type = {design}")
-        if design == "dp_gaussian":
-            _require(pairs, "dp_delta", "design_type = dp_gaussian")
-    else:
+    kind, design = pairs["input_type"], pairs["design_type"]
+    if kind == "file" and not os.path.exists(pairs["input_file"]):
+        raise ConfigError(f"input_file {pairs['input_file']!r} does not exist")
+    if design not in MECHANISM_TYPES:
         # A filter design: a variance cap gamma1 or, weighted, a weight gamma2.
         budget = "gamma2" if design == "output_weighted" else "gamma1"
-        for key in (budget, "noise_order"):
-            _require(pairs, key, f"design_type = {design}")
         sigma2 = pairs["sigma2"]
         if not sigma2 > 0.0:
             raise ConfigError(f"sigma2 must be > 0 for design_type = {design}, got {sigma2}")
@@ -153,16 +145,9 @@ def _validate(pairs: dict) -> None:
         raise ConfigError("design_type = output_random requires input_type = random_model")
     if design != "output_random" and kind == "random_model":
         raise ConfigError("input_type = random_model requires design_type = output_random")
-
-    adversary = pairs.get("adversary", "ls")
-    if adversary not in ADVERSARIES:
-        raise ConfigError(f"adversary must be one of {ADVERSARIES}, got {adversary!r}")
-    if adversary == "rls":
-        if design == "output_random":
-            # The random-input design and its attack are plain least squares.
-            raise ConfigError("adversary = rls is not supported with design_type = output_random")
-        for key in ("rls_eta", "rls_beta"):
-            _require(pairs, key, "adversary = rls")
+    if design == "output_random" and pairs.get("adversary") == "rls":
+        # The random-input design and its attack are plain least squares.
+        raise ConfigError("adversary = rls is not supported with design_type = output_random")
 
     if pairs.get("replicates", 1) < 1:
         raise ConfigError("replicates must be >= 1")

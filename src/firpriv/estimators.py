@@ -198,7 +198,10 @@ def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     # cho_factor/cho_solve wrap these routines with costly per-call checks.
     factor, info = dpotrf((mat + mat.T) / 2.0, overwrite_a=True, clean=False)
-    x = dpotrs(factor, rhs)[0]
+    # Each column solves alone, so blocks change no bit; a right-hand side of 1,024 or
+    # more entries can wake SciPy's OpenBLAS worker, which then stalls calls by ~16 ms.
+    step = max(1, 1020 // len(rhs))
+    x = np.hstack([dpotrs(factor, rhs[:, j:j + step])[0] for j in range(0, rhs.shape[1], step)])
     if info != 0 or not np.all(np.isfinite(x)):
         condition = float(_condition_numbers(mat))
         raise ConditioningError(

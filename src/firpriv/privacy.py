@@ -232,7 +232,10 @@ def privacy_audit(
     largest absolute log-likelihood ratio over a fixed grid of
     ``AUDIT_GRID_POINTS`` outputs, evenly spaced on ``[-10 s, 10 s]`` with
     ``s = b + sqrt(sigma2) + width * max|r|``.  An epsilon-calibrated scale
-    keeps the result at or below epsilon up to rounding.
+    keeps the result at or below epsilon up to rounding.  Each ratio is a difference
+    of two log densities, so the result has an absolute error of up to 4 eps times
+    the largest |log density| on the grid (51 where the Gaussian noise dominates):
+    at width = b = 1e-12 and sigma2 = 1 it is 1.000444e-11 for 1e-11; at 1e-300, 0.
     """
     samples = _samples(r)
     _check_finite("epsilon", epsilon, 0.0, strict=True)

@@ -1,9 +1,10 @@
+import re
 from dataclasses import fields
 
 import pytest
 
 from firpriv import ConfigError, ExperimentConfig, format_config, parse_config, parse_config_text
-from firpriv.config import _SCHEMA
+from firpriv.config import _REQUIRES, _SCHEMA
 
 MINIMAL = """
 # reference-style deterministic run
@@ -205,3 +206,69 @@ class TestDesignChecks:
         for bad in ("0", "-1"):
             with pytest.raises(ConfigError, match=r"gamma2 = -?[01].0 must exceed 0"):
                 parse_config_text(text.replace("gamma1 = 2.0", f"gamma2 = {bad}"))
+
+
+#: A valid value for every key a mode choice can require.
+REQUIRED_VALUES = {
+    "plant_coeffs": "1, 0.5", "plant_num": "1", "plant_den": "1, -0.5", "plant_fir_order": "5",
+    "input_length": "50", "input_filter_num": "1", "input_filter_den": "1, -0.5",
+    "input_file": __file__, "random_min_length": "10", "random_max_length": "20",
+    "random_theta": "2", "random_vartheta": "2", "gamma1": "2", "gamma2": "0.5",
+    "noise_order": "3", "dp_epsilon": "1", "dp_lower": "0", "dp_upper": "1", "dp_delta": "1e-5",
+    "rls_eta": "0.1", "rls_beta": "0.5",
+}
+
+
+#: Each mode key's choices as its unknown-choice message lists them.
+CHOICE_LISTS = {
+    "plant_type": "('fir', 'rational')",
+    "input_type": "('white', 'filtered', 'file', 'random_model')",
+    "design_type": "('output_capped', 'output_weighted', 'input_capped', 'output_random', "
+                   "'dp_laplace', 'dp_gaussian')",
+    "adversary": "('ls', 'rls')",
+}
+
+
+def valid_pairs(mode: str, choice: str) -> dict:
+    """A valid config with ``mode = choice`` and every key its choices require."""
+    modes = {"plant_type": "fir", "input_type": "white", "design_type": "output_capped",
+             "adversary": "ls", mode: choice}
+    if choice in ("random_model", "output_random"):  # each requires the other
+        modes.update(input_type="random_model", design_type="output_random")
+    pairs = dict(modes, sigma2="1.0")
+    for key_mode, value in modes.items():
+        pairs.update((key, REQUIRED_VALUES[key]) for key in _REQUIRES[key_mode][value])
+    return pairs
+
+
+def config_text(pairs: dict) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in pairs.items())
+
+
+class TestRequirementsTable:
+    """Every key the table requires is enforced, with its mode and choice named."""
+
+    @pytest.mark.parametrize(
+        "mode, choice, key",
+        [(mode, choice, key) for mode, choices in _REQUIRES.items()
+         for choice, keys in choices.items() for key in keys],
+    )
+    def test_missing_key_names_mode_and_choice(self, mode, choice, key):
+        pairs = valid_pairs(mode, choice)
+        assert getattr(parse_config_text(config_text(pairs)), mode) == choice
+        del pairs[key]
+        message = f"missing required key '{key}' ({mode} = {choice})"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_text(config_text(pairs))
+
+    @pytest.mark.parametrize("mode", CHOICE_LISTS)
+    def test_unknown_choice_lists_the_choices(self, mode):
+        pairs = {**valid_pairs("adversary", "ls"), mode: "bogus"}
+        message = f"{mode} must be one of {CHOICE_LISTS[mode]}, got 'bogus'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_text(config_text(pairs))
+
+    def test_adversary_defaults_to_ls(self):
+        pairs = valid_pairs("adversary", "ls")
+        del pairs["adversary"]
+        assert parse_config_text(config_text(pairs)).adversary == "ls"

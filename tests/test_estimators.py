@@ -488,8 +488,13 @@ def scipy_spd_solve(mat, rhs):
 
 
 class TestSpdSolve:
-    @pytest.mark.parametrize("n_h, n, log_cond", [(3, 20, 0), (9, 200, 0), (9, 2000, 0), (10, 60, 6)])
+    @pytest.mark.parametrize(
+        "n_h, n, log_cond",
+        [(3, 20, 0), (9, 100, 0), (9, 114, 0), (9, 200, 0), (9, 2000, 0), (10, 60, 6)],
+    )
     def test_matches_scipy_wrappers_bit_for_bit(self, n_h, n, log_cond):
+        # cho_solve is one dpotrs call on the whole right-hand side; _spd_solve calls it
+        # on blocks of at most 1,020 entries (113 columns at n_h = 9, so 114 needs two).
         rng = np.random.default_rng(40 + n_h + n)
         q, _ = np.linalg.qr(rng.standard_normal((n_h, n_h)))
         mat = (q * rng.uniform(1.0, 2.0, n_h) * np.logspace(0, log_cond, n_h)) @ q.T

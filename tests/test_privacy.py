@@ -26,7 +26,7 @@ from firpriv import (
     sample_mechanism,
 )
 from firpriv import privacy
-from firpriv.privacy import _draw_mechanism, _laplace_gauss_log_density
+from firpriv.privacy import AUDIT_GRID_POINTS, _draw_mechanism, _laplace_gauss_log_density
 
 
 def tail_integral(x: float) -> mpmath.mpf:
@@ -396,6 +396,17 @@ class TestPrivacyAudit:
         # on the grid end -10 s, s = 1 + 2 width.
         loss = privacy_audit([1.0], CoefficientBox(0, width, 1), 1.0, width, sigma2=1.0)
         assert loss == pytest.approx(10 * (1 + 2 * width) * width + width**2 / 2, rel=1e-4)
+
+    @pytest.mark.parametrize("width", [1e-6, 1e-9, 1e-12, 1e-300])
+    def test_narrow_box_loss_is_within_the_stated_absolute_error(self, width):
+        # The docstring's floor: 4 eps times the largest |log density| on the grid.
+        # The exact loss is the Gaussian one up to (b / sigma)^2 relative.
+        loss = privacy_audit([1.0], CoefficientBox(0, width, 1), 1.0, width, sigma2=1.0)
+        s = 1 + 2 * width
+        grid = np.linspace(-10.0 * s, 10.0 * s, AUDIT_GRID_POINTS)
+        largest = max(np.max(np.abs(_laplace_gauss_log_density(grid - d, width, 1.0)))
+                      for d in (0.0, width))
+        assert abs(loss - (10 * s * width + width**2 / 2)) <= 4 * np.finfo(float).eps * largest
 
     def test_instance_size_guard(self):
         box = CoefficientBox(0.0, 1.0, 2)
