@@ -101,6 +101,17 @@ def _check_budget(sigma2: float, gamma1: float) -> None:
     _check_finite("gamma1", gamma1)
 
 
+def _output_design(quadratic, l_star: np.ndarray, sigma2: Optional[float], **flags) -> DesignResult:
+    """The result of the output MA filter ``l_star``: its trace, ``lambda_y`` and ``rho``.
+
+    Both variances are NaN without a noise floor ``sigma2``.
+    """
+    lambda_y = float(l_star @ l_star) + sigma2 if sigma2 is not None else math.nan
+    rho = lambda_y / sigma2 if sigma2 is not None else math.nan
+    return DesignResult(l_star=l_star, predicted_trace=quadratic.evaluate(l_star),
+                        lambda_y=lambda_y, rho=rho, **flags)
+
+
 def design_output_capped(quadratic, sigma2: float, gamma1: float) -> DesignResult:
     """Maximize the error trace over MA filters with total variance capped.
 
@@ -111,17 +122,9 @@ def design_output_capped(quadratic, sigma2: float, gamma1: float) -> DesignResul
     lam1, v1, degenerate = _top_eigenpair(quadratic.matrix)
     unmasked = lam1 <= 0.0  # numerically zero objective: any feasible filter is as good as none
     l_star = np.zeros(quadratic.n_l) if unmasked else math.sqrt(gamma1 - sigma2) * v1
-    lambda_y = float(l_star @ l_star) + sigma2
-    return DesignResult(
-        l_star=l_star,
-        predicted_trace=quadratic.evaluate(l_star),
-        lambda_y=lambda_y,
-        rho=lambda_y / sigma2,
-        active_constraint=not unmasked,
-        top_eigenvalue=max(lam1, 0.0),
-        degenerate_objective=unmasked,
-        degenerate_top_eigenspace=degenerate,
-    )
+    return _output_design(quadratic, l_star, sigma2, active_constraint=not unmasked,
+                          top_eigenvalue=max(lam1, 0.0), degenerate_objective=unmasked,
+                          degenerate_top_eigenspace=degenerate)
 
 
 def design_output_weighted(quadratic, gamma2: float, sigma2: Optional[float] = None) -> DesignResult:
@@ -138,28 +141,12 @@ def design_output_weighted(quadratic, gamma2: float, sigma2: Optional[float] = N
         _check_finite("sigma2", sigma2, 0.0, strict=True)
     lam1, v1, degenerate = _top_eigenpair(quadratic.matrix)
     c = quadratic.offset
-    if lam1 <= gamma2 * c * c:
-        l_star = np.zeros(quadratic.n_l)
-        cost = 1.0 / c
-        active = False
-    else:
-        norm_sq = 1.0 / math.sqrt(gamma2 * lam1) - c / lam1
-        l_star = math.sqrt(norm_sq) * v1
-        cost = 1.0 / quadratic.evaluate(l_star) + gamma2 * norm_sq
-        active = True
-    noise_power = float(l_star @ l_star)
-    lambda_y = noise_power + sigma2 if sigma2 is not None else float("nan")
-    rho = lambda_y / sigma2 if sigma2 is not None else float("nan")
-    return DesignResult(
-        l_star=l_star,
-        predicted_trace=quadratic.evaluate(l_star),
-        lambda_y=lambda_y,
-        rho=rho,
-        active_constraint=active,
-        top_eigenvalue=max(lam1, 0.0),
-        degenerate_top_eigenspace=degenerate,
-        weighted_cost=cost,
-    )
+    active = lam1 > gamma2 * c * c
+    norm_sq = 1.0 / math.sqrt(gamma2 * lam1) - c / lam1 if active else 0.0
+    l_star = math.sqrt(norm_sq) * v1 if active else np.zeros(quadratic.n_l)
+    result = _output_design(quadratic, l_star, sigma2, active_constraint=active,
+                            top_eigenvalue=max(lam1, 0.0), degenerate_top_eigenspace=degenerate)
+    return replace(result, weighted_cost=1.0 / result.predicted_trace + gamma2 * norm_sq)
 
 
 def _gram_inv_sqrt(gram: np.ndarray) -> np.ndarray:

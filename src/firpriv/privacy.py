@@ -46,7 +46,8 @@ class DpMechanism:
 
     ``scale`` is the Laplace scale b or the Gaussian standard deviation and ``lambda_y``
     the total stationary output-noise variance including the measurement-noise floor.
-    ``noise_variance`` and ``lambda_y`` must be finite, or ParameterError is raised.
+    ``scale`` and ``sensitivity`` must be finite and >= 0, and ``noise_variance`` and
+    ``lambda_y`` finite, or ParameterError is raised.
     """
 
     kind: str  # "laplace" or "gaussian"
@@ -72,6 +73,8 @@ class DpMechanism:
             if not 0.0 < self.delta < 1.0:
                 raise ParameterError(f"delta must be in (0, 1), got {self.delta}")
         _check_finite("noise variance", self.noise_variance)
+        _check_finite("scale", self.scale, 0.0)
+        _check_finite("sensitivity", self.sensitivity, 0.0)
         _check_finite("lambda_y", self.lambda_y)
 
     @property
@@ -247,11 +250,11 @@ def privacy_audit(
         )
     if box.width == 0.0:
         return 0.0
-    if not b > 0:
-        raise ParameterError(f"b must be > 0 to audit a nonzero box, got {b}")
+    _check_finite("b", b, 0.0, strict=True)
     reg = build_regressor(samples, box.n_h)
     sigma = math.sqrt(sigma2)
     scale = b + sigma + box.width * float(np.max(np.abs(samples)))
+    _check_finite("audit grid span", 20.0 * scale)
     grid = np.linspace(-10.0 * scale, 10.0 * scale, AUDIT_GRID_POINTS)
     log_base = _laplace_gauss_log_density(grid, b, sigma)
 

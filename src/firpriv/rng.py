@@ -10,6 +10,7 @@ draws normals faster, for the bulk of the fixed-input attack's noise.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,10 +19,9 @@ from .errors import ParameterError
 
 
 def _nonnegative(value, what: str) -> int:
-    value = int(value)
-    if value < 0:
-        raise ParameterError(f"{what} must be nonnegative, got {value}")
-    return value
+    if not (isinstance(value, numbers.Integral) and value >= 0):
+        raise ParameterError(f"{what} must be nonnegative and an integer, got {value}")
+    return int(value)
 
 
 def _path_component(item) -> int:

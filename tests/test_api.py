@@ -55,6 +55,20 @@ NON_FINITE_CALLS = {
     "capped gamma1=inf": (lambda: firpriv.design_output_capped(_quad(), 1.0, INF), "gamma1"),
     "capped sigma2=inf": (lambda: firpriv.design_output_capped(_quad(), INF, INF), "sigma2"),
     "weighted gamma2=inf": (lambda: firpriv.design_output_weighted(_quad(), INF), "gamma2"),
+    "mechanism gaussian scale=-1": (
+        lambda: firpriv.DpMechanism("gaussian", -1.0, 1.0, 1e-5, 1.0, 2.0), "scale"),
+    "mechanism laplace scale=-1": (
+        lambda: firpriv.DpMechanism("laplace", -1.0, 1.0, 0.0, -5.0, 2.0), "scale"),
+    "mechanism laplace sensitivity=-5": (
+        lambda: firpriv.DpMechanism("laplace", 1.0, 1.0, 0.0, -5.0, 2.0), "sensitivity"),
+    "mechanism laplace sensitivity=nan": (
+        lambda: firpriv.DpMechanism("laplace", 1.0, 1.0, 0.0, NAN, 2.0), "sensitivity"),
+    "privacy_audit b=inf": (
+        lambda: firpriv.privacy_audit([0.3, -0.2, 0.5], firpriv.CoefficientBox(-0.5, 0.5, 2),
+                                      1.0, INF), "b"),
+    "privacy_audit b=1e307": (
+        lambda: firpriv.privacy_audit([0.3, -0.2, 0.5], firpriv.CoefficientBox(-0.5, 0.5, 2),
+                                      1.0, 1e307), "audit grid span"),
     "box upper=inf": (lambda: firpriv.CoefficientBox(0.0, INF, 2), "box upper bound"),
     "kernel eta=inf": (lambda: firpriv.Kernel([[1.0]], eta=INF), "eta"),
     "random model probability=nan": (
@@ -76,9 +90,12 @@ def test_non_finite_scalars_rejected(case):
 
 
 @pytest.mark.parametrize(
-    "address", [(-1,), (-1, "attack"), (0, "attack", -2)], ids=["seed", "seed+path", "path"]
+    "address",
+    [(-1,), (-1, "attack"), (0, "attack", -2),
+     (1.5,), (NAN,), (0, "attack", 2.7), (0, "attack", INF)],
+    ids=["seed", "seed+path", "path", "float seed", "nan seed", "float path", "inf path"],
 )
-def test_negative_stream_address_rejected(address):
+def test_stream_address_must_be_nonnegative_integers(address):
     for entry in (firpriv.stream, firpriv.derive, replicate_stream):
         with pytest.raises(firpriv.ParameterError, match="must be nonnegative"):
             entry(*address)
@@ -227,3 +244,4 @@ def test_numpy_integer_counts_pass():
     assert firpriv.build_regressor(_R, count).shape == (5, 3)
     assert firpriv.stable_spline_kernel(count, 0.5).shape == (3, 3)
     assert firpriv.build_filter_matrix([1.0, 0.5], count).n_samples == 3
+    assert firpriv.derive(count, np.uint8(2)) == firpriv.derive(3, 2)

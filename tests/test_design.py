@@ -192,6 +192,22 @@ class TestNonpositiveSigma2:
     def test_weighted_design_without_sigma2_still_runs(self):
         result = design_output_weighted(self.QUAD, 0.1)
         assert np.isnan(result.rho)
+        assert np.isnan(result.lambda_y)
+        np.testing.assert_array_equal(
+            result.l_star, design_output_weighted(self.QUAD, 0.1, sigma2=0.5).l_star)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_output_designs_report_their_filter_bit_for_bit(self, seed):
+        sigma2 = 0.5
+        quad, _ = random_quadratic(np.random.default_rng(seed), n_l=4, sigma2=sigma2)
+        for result in (design_output_capped(quad, sigma2, 1.7),
+                       design_output_weighted(quad, 1e-3, sigma2),
+                       design_output_weighted(quad, 1e6, sigma2),  # the zero filter
+                       design_output_random(quad, sigma2, 1.7)):
+            l = result.l_star
+            assert result.lambda_y == float(l @ l) + sigma2
+            assert result.rho == result.lambda_y / sigma2
+            assert result.predicted_trace == quad.evaluate(l)
 
 
 class TestDesignInputCapped:

@@ -9,7 +9,11 @@ solver.  The relations here hold for every correct kernel:
   leaves the capped design as it was, all bit for bit;
 * every stacked entry point equals its per-record call, bit for bit;
 * every trace quadratic is persymmetric, so every designed filter is even or odd
-  (to 4 eps of 1 - |l . Jl| / (l . l)).
+  (to 4 eps of 1 - |l . Jl| / (l . l)), and any filter l and its reversal Jl
+  have the same error trace to rounding;
+* only the RLS bias depends on the true plant: the matrix and noise gain of an
+  LS or RLS quadratic do not, and the RLS quadratic tends to the LS one as
+  eta -> 0, within a first-order bound proportional to eta.
 
 Examples are derandomized and their number fixed, so the module runs the same
 cases every time.
@@ -24,7 +28,7 @@ from firpriv.design import (
     design_output_weighted, estimate_expected_quadratic,
 )
 from firpriv.estimators import (
-    Kernel, ls_gram_inverse, ls_trace_quadratic, rls_gain, rls_trace_quadratic,
+    Kernel, analyze_records, ls_gram_inverse, ls_trace_quadratic, rls_gain, rls_trace_quadratic,
     stable_spline_kernel,
 )
 from firpriv.lti import RationalFilter, build_regressor, generate_filtered_input
@@ -137,9 +141,59 @@ class TestParity:
             assert parity_defect(design.l_star) <= 4 * np.finfo(float).eps
 
     @EXAMPLES
+    @given(seed=seeds, n=lengths, adversary=st.sampled_from(["ls", "rls"]))
+    def test_reversed_filter_has_the_same_trace(self, seed, n, adversary):
+        reg = build_regressor(record(seed, n), N_H)
+        if adversary == "ls":
+            quad = ls_trace_quadratic(reg, SIGMA2, N_L)
+        else:
+            quad = rls_trace_quadratic(reg, H_TRUE, KERNEL, SIGMA2, N_L)
+        for l in np.random.default_rng(seed).standard_normal((4, N_L)):
+            assert quad.evaluate(l[::-1]) == pytest.approx(quad.evaluate(l), rel=1e-13)
+
+    @EXAMPLES
     @given(seed=seeds)
     def test_random_input_design_is_even_or_odd(self, seed):
         model = RandomInputModel.uniform_gaussian(20, 40, theta=5, vartheta=20)
         quad = estimate_expected_quadratic(model, N_H, N_L, SIGMA2, seed=seed, threads=1)
         l = design_output_random(quad, SIGMA2, GAMMA1).l_star
         assert parity_defect(l) <= 4 * np.finfo(float).eps
+
+
+class TestModelIndependence:
+    @EXAMPLES
+    @given(seed=seeds, n=lengths)
+    def test_only_the_rls_bias_depends_on_h_true(self, seed, n):
+        reg = build_regressor(record(seed, n), N_H)
+        other = np.random.default_rng(seed).standard_normal(N_H)
+        ls = ls_trace_quadratic(reg, SIGMA2, N_L)
+        for h in (H_TRUE, other):
+            ls_h = analyze_records(reg, SIGMA2, N_L, None, h)[0]
+            np.testing.assert_array_equal(ls_h.matrix, ls.matrix)
+            assert (ls_h.offset, ls_h.bias, ls_h.noise_gain) == (ls.offset, 0.0, ls.noise_gain)
+        rls = rls_trace_quadratic(reg, H_TRUE, KERNEL, SIGMA2, N_L)
+        for h in (other, 2.0 * H_TRUE):
+            rls_h = rls_trace_quadratic(reg, h, KERNEL, SIGMA2, N_L)
+            np.testing.assert_array_equal(rls_h.matrix, rls.matrix)
+            np.testing.assert_array_equal(rls_h.estimator_map, rls.estimator_map)
+            assert rls_h.noise_gain == rls.noise_gain
+        # The bias vector h - CRh is linear in h, so doubling h quadruples the bias exactly.
+        assert rls.bias > 0.0
+        assert rls_trace_quadratic(reg, 2.0 * H_TRUE, KERNEL, SIGMA2, N_L).bias == 4.0 * rls.bias
+
+    @EXAMPLES
+    @given(seed=seeds, n=lengths, log_eta=st.integers(min_value=-8, max_value=-2))
+    def test_rls_quadratic_tends_to_ls_as_eta_vanishes(self, seed, n, log_eta):
+        eta = 10.0**log_eta
+        reg = build_regressor(record(seed, n), N_H)
+        ls = ls_trace_quadratic(reg, SIGMA2, N_L)
+        rls = rls_trace_quadratic(reg, H_TRUE, Kernel(KERNEL.matrix, eta), SIGMA2, N_L)
+        # C_rls - C_ls = -eta inv(R'R + eta P) P C_ls with P = inv(K), so the map moves by at
+        # most delta = eta ||P|| ||inv(R'R)|| of itself, every diagonal sum of C'C by at most
+        # (2 delta + delta^2) tr(C_ls C_ls'), and the bias ||eta inv(R'R + eta P) P h||^2 is at
+        # most delta^2 ||h||^2.  Measured deviations reach 0.88 of this bound for eta >= 1e-12.
+        delta = eta * np.linalg.norm(KERNEL.inverse, 2) * np.linalg.norm(ls_gram_inverse(reg), 2)
+        tol = (2.0 * delta + delta * delta) * ls.noise_gain
+        assert np.abs(rls.matrix - ls.matrix).max() <= tol
+        assert abs(rls.noise_gain - ls.noise_gain) <= tol
+        assert rls.bias <= delta * delta * float(H_TRUE @ H_TRUE)
