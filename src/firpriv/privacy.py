@@ -8,7 +8,7 @@ estimator the adversary runs, at the price of i.i.d. (unshaped) noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,40 +42,41 @@ class CoefficientBox:
 
 @dataclass(frozen=True)
 class DpMechanism:
-    """Calibrated noise mechanism with the sensitivity it was derived from.
+    """Output-noise mechanism calibrated to (epsilon, delta) and a sensitivity.
 
-    ``scale`` is the Laplace scale b or the Gaussian standard deviation and ``lambda_y``
-    the total stationary output-noise variance including the measurement-noise floor.
-    ``scale`` and ``sensitivity`` must be finite and >= 0, and ``noise_variance`` and
-    ``lambda_y`` finite, or ParameterError is raised.
+    It derives ``scale``, the Laplace scale ``sensitivity / epsilon`` (delta must be 0)
+    or the classical Gaussian deviation ``gaussian_noise_multiplier(epsilon, delta) *
+    sensitivity / epsilon``, and ``lambda_y = noise_variance + sigma2``, the total
+    stationary output-noise variance including the measurement-noise floor ``sigma2``.
+    ``sensitivity`` and ``sigma2`` must be finite and >= 0 and ``lambda_y`` finite,
+    or ParameterError is raised.
     """
 
     kind: str  # "laplace" or "gaussian"
-    scale: float
     epsilon: float
     delta: float
     sensitivity: float
-    lambda_y: float
+    sigma2: float = 0.0
+    scale: float = field(init=False)
+    lambda_y: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("laplace", "gaussian"):
             raise ParameterError(f"kind must be laplace or gaussian, got {self.kind!r}")
         _check_finite("epsilon", self.epsilon, 0.0, strict=True)
+        _check_finite("sensitivity", self.sensitivity, 0.0)
+        _check_finite("sigma2", self.sigma2, 0.0)
         if self.kind == "laplace":
             if self.delta != 0.0:
                 raise ParameterError("laplace mechanism has delta = 0")
-            if self.scale * self.epsilon < self.sensitivity * (1.0 - 1e-12):
-                raise ParameterError(
-                    f"laplace scale {self.scale} below sensitivity/epsilon "
-                    f"= {self.sensitivity / self.epsilon}"
-                )
+            scale = self.sensitivity / self.epsilon
         else:
-            if not 0.0 < self.delta < 1.0:
-                raise ParameterError(f"delta must be in (0, 1), got {self.delta}")
-        _check_finite("noise variance", self.noise_variance)
-        _check_finite("scale", self.scale, 0.0)
-        _check_finite("sensitivity", self.sensitivity, 0.0)
-        _check_finite("lambda_y", self.lambda_y)
+            multiplier = gaussian_noise_multiplier(self.epsilon, self.delta)
+            scale = multiplier * self.sensitivity / self.epsilon
+        object.__setattr__(self, "scale", scale)
+        # Infinite when the calibration overflows, or the floor added to it does.
+        object.__setattr__(self, "lambda_y", self.noise_variance + self.sigma2)
+        _check_finite("noise variance", self.lambda_y)
 
     @property
     def noise_variance(self) -> float:
@@ -105,18 +106,7 @@ def l2_sensitivity(r, box: CoefficientBox) -> float:
 
 def laplace_mechanism(epsilon: float, sensitivity: float, sigma2: float = 0.0) -> DpMechanism:
     """Tightest Laplace scale for epsilon-privacy; ParameterError if its variance overflows."""
-    _check_finite("epsilon", epsilon, 0.0, strict=True)
-    _check_finite("sensitivity", sensitivity, 0.0)
-    _check_finite("sigma2", sigma2, 0.0)
-    scale = sensitivity / epsilon
-    return DpMechanism(
-        kind="laplace",
-        scale=scale,
-        epsilon=epsilon,
-        delta=0.0,
-        sensitivity=sensitivity,
-        lambda_y=2.0 * (scale * scale) + sigma2,
-    )
+    return DpMechanism("laplace", epsilon, 0.0, sensitivity, sigma2)
 
 
 def _special_ufunc(name: str):
@@ -168,17 +158,7 @@ def gaussian_mechanism(
     the Gaussian mechanism admits a smaller deviation for the same (epsilon, delta), and
     the delta it delivers is below the one requested.  ParameterError if its variance overflows.
     """
-    _check_finite("l2_sensitivity", l2_sensitivity, 0.0)
-    _check_finite("sigma2", sigma2, 0.0)
-    std = gaussian_noise_multiplier(epsilon, delta) * l2_sensitivity / epsilon
-    return DpMechanism(
-        kind="gaussian",
-        scale=std,
-        epsilon=epsilon,
-        delta=delta,
-        sensitivity=l2_sensitivity,
-        lambda_y=std * std + sigma2,
-    )
+    return DpMechanism("gaussian", epsilon, delta, l2_sensitivity, sigma2)
 
 
 def _draw_mechanism(gen: np.random.Generator, mech: DpMechanism, shape) -> np.ndarray:
@@ -235,7 +215,8 @@ def privacy_audit(
     largest absolute log-likelihood ratio over a fixed grid of
     ``AUDIT_GRID_POINTS`` outputs, evenly spaced on ``[-10 s, 10 s]`` with
     ``s = b + sqrt(sigma2) + width * max|r|``.  An epsilon-calibrated scale
-    keeps the result at or below epsilon up to rounding.  Each ratio is a difference
+    keeps the result at or below epsilon up to rounding; ``epsilon`` itself is only
+    validated and does not enter the result.  Each ratio is a difference
     of two log densities, so the result has an absolute error of up to 4 eps times
     the largest |log density| on the grid (51 where the Gaussian noise dominates):
     at width = b = 1e-12 and sigma2 = 1 it is 1.000444e-11 for 1e-11; at 1e-300, 0.

@@ -46,23 +46,33 @@ NON_FINITE_CALLS = {
     "laplace scale overflow": (lambda: firpriv.laplace_mechanism(1e-310, 1.0), "noise variance"),
     "gaussian epsilon=inf": (lambda: firpriv.gaussian_mechanism(INF, 1e-5, 1.0), "epsilon"),
     "gaussian sensitivity=nan": (lambda: firpriv.gaussian_mechanism(1.0, 1e-5, NAN),
-                                 "l2_sensitivity"),
+                                 "sensitivity"),
     "gaussian sensitivity=inf": (lambda: firpriv.gaussian_mechanism(1.0, 1e-5, INF),
-                                 "l2_sensitivity"),
+                                 "sensitivity"),
     "gaussian variance overflow": (lambda: firpriv.gaussian_mechanism(1e-300, 1e-5, 1.0),
                                    "noise variance"),
     "quadratic offset=nan": (lambda: firpriv.TraceQuadratic(np.eye(2), NAN), "quadratic"),
     "capped gamma1=inf": (lambda: firpriv.design_output_capped(_quad(), 1.0, INF), "gamma1"),
     "capped sigma2=inf": (lambda: firpriv.design_output_capped(_quad(), INF, INF), "sigma2"),
     "weighted gamma2=inf": (lambda: firpriv.design_output_weighted(_quad(), INF), "gamma2"),
-    "mechanism gaussian scale=-1": (
-        lambda: firpriv.DpMechanism("gaussian", -1.0, 1.0, 1e-5, 1.0, 2.0), "scale"),
-    "mechanism laplace scale=-1": (
-        lambda: firpriv.DpMechanism("laplace", -1.0, 1.0, 0.0, -5.0, 2.0), "scale"),
+    "mechanism gaussian sensitivity=-1": (
+        lambda: firpriv.DpMechanism("gaussian", 1.0, 1e-5, -1.0), "sensitivity"),
     "mechanism laplace sensitivity=-5": (
-        lambda: firpriv.DpMechanism("laplace", 1.0, 1.0, 0.0, -5.0, 2.0), "sensitivity"),
+        lambda: firpriv.DpMechanism("laplace", 1.0, 0.0, -5.0), "sensitivity"),
     "mechanism laplace sensitivity=nan": (
-        lambda: firpriv.DpMechanism("laplace", 1.0, 1.0, 0.0, NAN, 2.0), "sensitivity"),
+        lambda: firpriv.DpMechanism("laplace", 1.0, 0.0, NAN), "sensitivity"),
+    "mechanism laplace sigma2=-5": (
+        lambda: firpriv.DpMechanism("laplace", 1.0, 0.0, 1.0, -5.0), "sigma2"),
+    "mechanism gaussian sigma2=nan": (
+        lambda: firpriv.DpMechanism("gaussian", 1.0, 1e-5, 1.0, NAN), "sigma2"),
+    "mechanism gaussian epsilon=0": (
+        lambda: firpriv.DpMechanism("gaussian", 0.0, 1e-5, 1.0), "epsilon"),
+    "mechanism laplace epsilon=-1": (
+        lambda: firpriv.DpMechanism("laplace", -1.0, 0.0, 1.0), "epsilon"),
+    "mechanism variance overflow": (
+        lambda: firpriv.DpMechanism("gaussian", 1e-300, 1e-5, 1.0), "noise variance"),
+    "mechanism floor overflow": (
+        lambda: firpriv.DpMechanism("laplace", 1.0, 0.0, 7e153, 1e308), "noise variance"),
     "privacy_audit b=inf": (
         lambda: firpriv.privacy_audit([0.3, -0.2, 0.5], firpriv.CoefficientBox(-0.5, 0.5, 2),
                                       1.0, INF), "b"),
@@ -124,7 +134,7 @@ gamma1 = 2.0
 
 
 def _mechanism(kind, delta):
-    return lambda: firpriv.DpMechanism(kind, 1.0, 1.0, delta, 1.0, 2.0)
+    return lambda: firpriv.DpMechanism(kind, 1.0, delta, 1.0)
 
 
 def _kernel(n):
@@ -152,6 +162,7 @@ TYPED_GUARD_CALLS = {
     "mechanism kind=uniform": (_mechanism("uniform", 0.0), firpriv.ParameterError),
     "laplace delta!=0": (_mechanism("laplace", 0.1), firpriv.ParameterError),
     "gaussian delta=1.5": (_mechanism("gaussian", 1.5), firpriv.ParameterError),
+    "gaussian delta=0": (_mechanism("gaussian", 0.0), firpriv.ParameterError),
     "sample_mechanism n=0": (
         lambda: firpriv.sample_mechanism(firpriv.laplace_mechanism(1.0, 1.0), 0),
         firpriv.ParameterError),

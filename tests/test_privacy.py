@@ -4,6 +4,7 @@ import subprocess
 import sys
 import types
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -147,9 +148,12 @@ class TestLaplaceMechanism:
             laplace_mechanism(epsilon=0.0, sensitivity=1.0)
 
     def test_mechanism_invariant_guard(self):
-        with pytest.raises(ParameterError):
-            DpMechanism(kind="laplace", scale=0.5, epsilon=1.0, delta=0.0,
-                        sensitivity=1.0, lambda_y=1.0)
+        # scale and lambda_y are derived, so an under-calibrated mechanism cannot be built.
+        for name in ("scale", "lambda_y"):
+            with pytest.raises(TypeError):
+                DpMechanism(kind="laplace", epsilon=1.0, delta=0.0, sensitivity=1.0,
+                            **{name: 0.5})
+        assert DpMechanism(kind="laplace", epsilon=1.0, delta=0.0, sensitivity=1.0).scale == 1.0
 
 
 class TestGaussianTail:
@@ -241,6 +245,30 @@ class TestGaussianMechanism:
             gaussian_mechanism(1.0, 0.0, 1.0)
         with pytest.raises(ParameterError):
             gaussian_mechanism(1.0, 1.0, 1.0)
+
+
+class TestDpMechanism:
+    def test_derived_fields_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        for _ in range(500):
+            eps, sens = 10.0 ** rng.uniform(-3, 2), 10.0 ** rng.uniform(-6, 6)
+            delta, sigma2 = 10.0 ** rng.uniform(-12, -0.01), rng.uniform(0, 10)
+            lap = DpMechanism("laplace", eps, 0.0, sens, sigma2)
+            gauss = DpMechanism("gaussian", eps, delta, sens, sigma2)
+            assert lap.scale == sens / eps
+            assert gauss.scale == gaussian_noise_multiplier(eps, delta) * sens / eps
+            for mech in (lap, gauss):
+                assert mech.lambda_y == mech.noise_variance + sigma2
+            # The factories' former formulas.
+            assert lap.lambda_y == 2.0 * (lap.scale * lap.scale) + sigma2
+            assert gauss.lambda_y == gauss.scale * gauss.scale + sigma2
+
+    @pytest.mark.parametrize("kind, delta", [("laplace", 0.0), ("gaussian", 1e-5)])
+    def test_replace_recalibrates(self, kind, delta):
+        mech = DpMechanism(kind, 1.0, delta, 2.0, 0.3)
+        halved = replace(mech, epsilon=0.5)
+        assert halved == DpMechanism(kind, 0.5, delta, 2.0, 0.3)
+        assert halved.scale > mech.scale and halved.lambda_y > mech.lambda_y
 
 
 class ZeroUniforms:
@@ -466,6 +494,13 @@ def test_failed_extension_load_falls_back_to_public_log_ndtr(failure, monkeypatc
     assert privacy._special_ufunc("log_ndtr") is scipy.special.log_ndtr
     assert privacy._special_ufunc("erfcx") is scipy.special.erfcx
     assert values() == expected
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.4])
+def test_audit_result_does_not_depend_on_epsilon(sigma2):
+    box = CoefficientBox(-0.5, 0.5, 2)
+    r = [0.3, -0.2, 0.5]
+    assert privacy_audit(r, box, 1.0, 1.0, sigma2) == privacy_audit(r, box, 123.0, 1.0, sigma2)
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
