@@ -208,10 +208,10 @@ def _fixed_input_attack(
     """Empirical error trace over repeated attacks on a fixed input record.
 
     ``mean_y`` is the record's noiseless output ``R h``.  The Gaussian output
-    noise, MA noise ``L v`` plus white noise of variance ``w`` (``sigma2``, or
-    a Gaussian mechanism's ``lambda_y``, which includes it), has covariance
-    ``LL' + wI``, so each replicate draws it whole as ``C z``: N standard normals
-    ``z`` through the banded factor C of :meth:`BandedFilterMatrix.noise_factor`;
+    noise, MA noise ``L v`` plus white noise of variance ``w`` (``sigma2``
+    plus a Gaussian mechanism's variance), has covariance ``LL' + wI``, so
+    each replicate draws it whole as ``C z``: N standard normals ``z``
+    through the banded factor C of :meth:`BandedFilterMatrix.noise_factor`;
     no filter is the zero filter, whose C is ``sqrt(w) I``.  The estimator
     map E is linear, so the error is ``(R h E - h) + z (C'E) + lap E`` with
     Laplace noise ``lap``; ``C'E`` takes O(N*m*n_h), never the dense band.
@@ -228,7 +228,7 @@ def _fixed_input_attack(
     n = mean_y.size
     bias = mean_y @ estimator_map - h
     laplace = mech if mech is not None and mech.kind == "laplace" else None
-    w = mech.lambda_y if mech is not None and laplace is None else sigma2
+    w = sigma2 + (mech.noise_variance if mech is not None and laplace is None else 0.0)
     ma = ma_coeffs if ma_coeffs is not None else np.zeros(1)  # no filter: zero MA noise
     noise_map = (factor_adjoint(build_filter_matrix(ma, n).noise_factor(w), estimator_map)
                  if w > 0 or np.any(ma) else None)  # None: w = 0 and the filter is zero

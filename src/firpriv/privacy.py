@@ -74,9 +74,9 @@ class DpMechanism:
             multiplier = gaussian_noise_multiplier(self.epsilon, self.delta)
             scale = multiplier * self.sensitivity / self.epsilon
         object.__setattr__(self, "scale", scale)
-        # Infinite when the calibration overflows, or the floor added to it does.
+        _check_finite("noise variance", self.noise_variance)  # the calibration overflowed
         object.__setattr__(self, "lambda_y", self.noise_variance + self.sigma2)
-        _check_finite("noise variance", self.lambda_y)
+        _check_finite("noise variance + sigma2", self.lambda_y)
 
     @property
     def noise_variance(self) -> float:

@@ -72,7 +72,8 @@ NON_FINITE_CALLS = {
     "mechanism variance overflow": (
         lambda: firpriv.DpMechanism("gaussian", 1e-300, 1e-5, 1.0), "noise variance"),
     "mechanism floor overflow": (
-        lambda: firpriv.DpMechanism("laplace", 1.0, 0.0, 7e153, 1e308), "noise variance"),
+        lambda: firpriv.DpMechanism("laplace", 1.0, 0.0, 7e153, 1e308),
+        r"noise variance \+ sigma2"),
     "privacy_audit b=inf": (
         lambda: firpriv.privacy_audit([0.3, -0.2, 0.5], firpriv.CoefficientBox(-0.5, 0.5, 2),
                                       1.0, INF), "b"),

@@ -456,12 +456,11 @@ class TestFixedInputAttack:
         # The long filter has more taps (40) than the record has samples.
         taps = {"ma": 4, "long-ma": 40}.get(channel.split("+")[0])
         ma = rng.standard_normal(taps) if taps else None
-        sigma2 = 0.3 if channel.endswith("sigma2") else 0.0
-        # A mechanism carries the measurement-noise floor the attack is given.
         mech = {
-            "laplace": laplace_mechanism(1.5, 2.0, sigma2),
-            "gaussian": gaussian_mechanism(1.0, 1e-5, 0.8, sigma2),
+            "laplace": laplace_mechanism(1.5, 2.0),
+            "gaussian": gaussian_mechanism(1.0, 1e-5, 0.8),
         }.get(channel.split("+")[0])
+        sigma2 = 0.3 if channel.endswith("sigma2") else 0.0
         replicates = CHUNK + 100
         mean, se, failures = _fixed_input_attack(
             h, reg @ h, estimator_map, ma, mech, sigma2, 9, replicates, threads=2
