@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConditioningError, DimensionError, ParameterError, SingularKernelError
 from .lti import (
-    _LAPACK, BandedFilterMatrix, FirModel, _check_count, _check_finite, _samples, _windows,
-    build_regressor,
+    _LAPACK, BandedFilterMatrix, FirModel, _as_vector, _check_count, _check_finite, _samples,
+    _windows, build_regressor,
 )
 
 # SciPy's LAPACK wrappers, which lti loads without importing scipy.linalg.
@@ -93,7 +93,8 @@ class TraceQuadratic:
 
     For every coefficient vector ``l`` of the advertised length,
     ``l @ matrix @ l + offset`` equals the exact error trace of the matching
-    estimator under the MA masking-noise model.  Both parts must be finite.
+    estimator under the MA masking-noise model.  Both parts must be finite, and
+    ``evaluate`` rejects a non-finite filter or one of another length.
     """
 
     matrix: np.ndarray
@@ -108,7 +109,9 @@ class TraceQuadratic:
             raise ParameterError(f"quadratic must be finite, got offset {self.offset}")
 
     def evaluate(self, l) -> float:
-        l = np.asarray(l, dtype=float)
+        l = _as_vector(l, "filter")
+        if l.size != self.n_l:
+            raise DimensionError(f"filter must have length n_l = {self.n_l}, got {l.size}")
         return float(l @ self.matrix @ l + self.offset)
 
     @property

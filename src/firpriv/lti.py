@@ -32,9 +32,9 @@ def _load_scipy_extension(subpackage: str, module: str):
 
     Loaded from ``scipy/<subpackage>`` by path so that the subpackage's
     ``__init__.py`` never runs: for ``linalg`` it is more than half the
-    start-up of every command, for ``signal`` about 1 s and 75 MB, for
-    ``special`` about 0.2 s and 17 MB.  The module is registered under its
-    own name, so a later ``import scipy.<subpackage>`` shares it.
+    start-up of every command, for ``signal`` about 1 s and 75 MB.  The module
+    is registered under its own name, so a later ``import scipy.<subpackage>``
+    shares it.
     """
     name = f"scipy.{subpackage}.{module}"
     if name in sys.modules:

@@ -211,6 +211,16 @@ class TestLsTraceQuadratic:
             eigs = np.linalg.eigvalsh(quad.matrix)
             assert eigs.min() >= -1e-10 * max(eigs.max(), 1e-300)
 
+    def test_evaluate_rejects_a_filter_of_the_wrong_length(self):
+        quad = ls_trace_quadratic(make_instance(np.random.default_rng(12), 15, 3), 0.2, n_l=4)
+        with pytest.raises(DimensionError, match="n_l = 4, got 3"):
+            quad.evaluate(np.ones(3))
+
+    def test_evaluate_rejects_a_non_finite_filter(self):
+        quad = ls_trace_quadratic(make_instance(np.random.default_rng(13), 15, 3), 0.2, n_l=2)
+        with pytest.raises(ParameterError, match="filter contains non-finite"):
+            quad.evaluate([0.5, np.nan])
+
 
 def spline_kernel(n_h, beta=0.7, eta=0.1):
     return Kernel(stable_spline_kernel(n_h, beta), eta=eta)

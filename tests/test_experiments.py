@@ -778,8 +778,8 @@ class TestCli:
         assert seen == [1, 2, 3]
 
     def test_simulate_and_design_output_leave_scipy_special_unloaded(self, tmp_path):
-        # No command imports scipy.special; only the noisy privacy audit loads its
-        # compiled extension, on first use.  The Gaussian calibration does not.
+        # No command imports scipy.special or loads its compiled extension: not the
+        # Gaussian calibration, and not the privacy audit with measurement noise.
         cfg = tmp_path / "run.cfg"
         cfg.write_text(LS_CONFIG.replace("replicates = 100000", "replicates = 200"))
         gauss = tmp_path / "gauss.cfg"
@@ -803,7 +803,7 @@ class TestCli:
             capture_output=True, text=True, check=True,
         )
         lines = [line for line in out.stdout.splitlines() if line.startswith("[")]
-        assert lines == ["[False, False]"] * 3 + ["[False, True]"]
+        assert lines == ["[False, False]"] * 4
         # No command loads scipy.linalg: the LAPACK wrappers come from its extension alone.
         code = (
             "import sys; from firpriv.cli import main; "
